@@ -20,7 +20,8 @@ Three tiers of measurement land in ``BENCH_sim.json``:
 * ``profiled`` — the same scenario with the :class:`EngineProfiler`
   and :class:`RunMonitor` attached: events/sec under profiling, the
   hot action sites, and the heartbeat/flamegraph artefacts
-  (``benchmarks/out/sim_engine.speedscope.json`` etc.).
+  (``benchmarks/out/sim_engine.speedscope.json`` etc.; a ``--smoke``
+  run writes its own beside ``BENCH_sim.smoke.json`` instead).
 * ``million_event`` (full runs only) — the ~1M-event campaign itself,
   disabled and profiled, proving the scale target end to end.
 
@@ -38,6 +39,7 @@ import gc
 import json
 import statistics
 import sys
+from pathlib import Path
 from time import perf_counter
 
 from benchmarks.common import OUT_DIR, REPO_ROOT, SEED, write_json_report
@@ -195,8 +197,9 @@ def _disabled_overhead(gate: dict) -> dict:
 
 
 def _profiled_pass(cfg: dict, *, heartbeat_s: float,
-                   artefact_prefix: str | None) -> dict:
-    """One profiled+monitored pass; optionally writes the artefacts."""
+                   artefact_prefix: Path | None) -> dict:
+    """One profiled+monitored pass; optionally writes the artefacts
+    (``<artefact_prefix>.speedscope.json`` and siblings)."""
     scenario = run_recovery_scenario(
         **cfg, profile=True, heartbeat_s=heartbeat_s
     )
@@ -215,34 +218,43 @@ def _profiled_pass(cfg: dict, *, heartbeat_s: float,
         },
     }
     if artefact_prefix is not None:
-        OUT_DIR.mkdir(exist_ok=True)
-        speedscope_path = OUT_DIR / f"{artefact_prefix}.speedscope.json"
-        speedscope_path.write_text(
-            json.dumps(speedscope_json(profiler, name=artefact_prefix),
-                       sort_keys=True) + "\n"
+        artefact_prefix.parent.mkdir(exist_ok=True)
+        name = artefact_prefix.name
+        paths = [
+            artefact_prefix.with_name(f"{name}.speedscope.json"),
+            artefact_prefix.with_name(f"{name}.collapsed.txt"),
+            artefact_prefix.with_name(f"{name}_heartbeats.jsonl"),
+        ]
+        paths[0].write_text(
+            json.dumps(speedscope_json(profiler, name=name), sort_keys=True)
+            + "\n"
         )
-        (OUT_DIR / f"{artefact_prefix}.collapsed.txt").write_text(
-            collapsed_stacks(profiler)
-        )
-        (OUT_DIR / f"{artefact_prefix}_heartbeats.jsonl").write_text(
-            monitor.heartbeats_jsonl()
-        )
+        paths[1].write_text(collapsed_stacks(profiler))
+        paths[2].write_text(monitor.heartbeats_jsonl())
         out["artefacts"] = [
-            str(speedscope_path.relative_to(REPO_ROOT)),
-            str((OUT_DIR / f"{artefact_prefix}.collapsed.txt")
-                .relative_to(REPO_ROOT)),
-            str((OUT_DIR / f"{artefact_prefix}_heartbeats.jsonl")
-                .relative_to(REPO_ROOT)),
+            str(p.relative_to(REPO_ROOT) if p.is_relative_to(REPO_ROOT) else p)
+            for p in paths
         ]
     return out
 
 
 def run(smoke: bool = False, out_path=None) -> dict:
-    """Run the harness; returns (and writes) the report dict."""
+    """Run the harness; returns (and writes) the report dict.
+
+    The full run regenerates the committed profile artefacts in
+    ``benchmarks/out``; a smoke run writes its own beside its report
+    (``BENCH_sim.smoke.json`` by default), leaving the committed ones
+    alone.
+    """
+    if smoke:
+        out_path = Path(out_path or REPO_ROOT / "BENCH_sim.smoke.json")
+        prefix = out_path.with_suffix("")
+    else:
+        prefix = OUT_DIR / "sim_engine"
     gate = _disabled_passes(GATE_SCENARIO, GATE_PASSES)
     gate["disabled_overhead"] = _disabled_overhead(gate)
     profiled = _profiled_pass(
-        GATE_SCENARIO, heartbeat_s=0.2, artefact_prefix="sim_engine"
+        GATE_SCENARIO, heartbeat_s=0.2, artefact_prefix=prefix
     )
     profiled["vs_disabled"] = (
         round(profiled["events_per_s"] / gate["events_per_s_median"], 3)
@@ -279,7 +291,7 @@ def run(smoke: bool = False, out_path=None) -> dict:
         disabled = _disabled_passes(MILLION_SCENARIO, passes=1)
         big = _profiled_pass(
             MILLION_SCENARIO, heartbeat_s=1.0,
-            artefact_prefix="sim_engine_million",
+            artefact_prefix=OUT_DIR / "sim_engine_million",
         )
         big["vs_disabled"] = (
             round(big["events_per_s"] / disabled["events_per_s"], 3)
@@ -308,8 +320,7 @@ def main(argv=None) -> int:
              "full-run artefact survives",
     )
     args = parser.parse_args(argv)
-    out_path = REPO_ROOT / "BENCH_sim.smoke.json" if args.smoke else None
-    report = run(smoke=args.smoke, out_path=out_path)
+    report = run(smoke=args.smoke)
     ok = report["gate"]["disabled_overhead"]["pass"]
     if not smoke_scale_sane(report):
         ok = False

@@ -10,8 +10,8 @@ original) plus the simulated wall-clock it took.
 
 Beyond the paper's single-chunk scenario the prototype also supports:
 
-* **concurrent repairs** — multiple stripes rebuilt in one event-queue
-  run (the substrate for full-node repair batches);
+* **one repair state machine** — every entry point runs a
+  :class:`RepairJob`, for one lost chunk or several, sync or async;
 * **degraded reads** — serving a chunk whose node is down by repairing
   on the read path without persisting;
 * **mid-repair failure recovery** — a progress watchdog detects a
@@ -55,7 +55,7 @@ from ..repair.plan import RepairPlan
 from ..repair.recovery import uncovered_intervals
 from ..sim.events import EventQueue
 from .datanode import DataNode
-from .master import DeadNodeError, Master, RepairImpossibleError, StripeLocation
+from .master import DeadNodeError, Master, StripeLocation
 from .messages import BandwidthReport, SliceData, TransferTask
 
 log = logging.getLogger("repro.cluster.system")
@@ -71,8 +71,8 @@ class RepairOutcome:
         Terminal verdict (see :mod:`repro.faults`): ``completed`` (the
         planned algorithm finished, possibly after re-plans), ``degraded``
         (finished via a ladder rung — helper promotion or star fallback),
-        ``escalated`` (a second chunk was lost mid-repair; finished
-        through the multi-chunk path), or ``failed`` (explicit failure
+        ``escalated`` (a second chunk was lost mid-repair and the same
+        job rebuilt it too), or ``failed`` (explicit failure
         verdict — never silent corruption).
     retries:
         Attempts aborted by the progress watchdog (re-dispatches).
@@ -106,18 +106,23 @@ class RepairOutcome:
 
 
 @dataclass
-class _Assembly:
-    """Requester-side reassembly of one failed chunk, across attempts."""
+class _ChunkRepair:
+    """Requester-side reassembly of one lost chunk, across attempts."""
 
-    stripe_id: str
-    repair_id: str
+    failed_node: int
     requester: int
-    chunk_bytes: int
-    failed_node: int = -1
     #: chunk index lost on failed_node, resolved at dispatch — the live
     #: placement may have relocated it by the time the repair settles
     #: (a degraded read racing the orchestrator on the same chunk)
-    lost_chunk: int = -1
+    lost_chunk: int
+    #: base wire id; attempt N > 1 streams under ``repair_id#aN``
+    repair_id: str
+    chunk_bytes: int
+    buffer: np.ndarray = field(repr=False, default=None)
+    #: requester picked by the job on escalation (re-picked if it dies)
+    spare: bool = False
+    plan: RepairPlan | None = None
+    wire_id: str = ""
     #: pipeline key -> sender nodes expected to deliver that range
     expected: dict[int, set] = field(default_factory=dict)
     #: pipeline key -> bytes of its range not yet decode-complete
@@ -128,26 +133,77 @@ class _Assembly:
     #: accumulated across attempts — the complement is the remainder
     completed: list = field(default_factory=list)
     done_bytes: int = 0
-    buffer: np.ndarray = field(repr=False, default=None)
     received: int = 0
     last_arrival: float = 0.0
-    # ---- recovery state (single-chunk repair path only) --------------- #
-    plan: RepairPlan | None = None
+    #: post-repair parity verification verdict (None = not verifiable)
+    integrity_ok: bool | None = None
+
+    @property
+    def complete(self) -> bool:
+        return self.done_bytes >= self.chunk_bytes
+
+    def clear_attempt(self) -> None:
+        self.expected = {}
+        self.outstanding = {}
+        self.slice_arrivals = {}
+
+    def restart(self) -> int:
+        """Drop every decoded byte; returns how many are lost."""
+        lost = self.done_bytes
+        self.buffer[:] = 0
+        self.completed = []
+        self.done_bytes = 0
+        self.clear_attempt()
+        return lost
+
+
+@dataclass
+class RepairJob:
+    """One self-healing repair of a stripe's lost chunks.
+
+    Every repair entry point of :class:`ClusterSystem` submits one of
+    these.  The job owns its lost set (failed node -> requester, one
+    assembly buffer each), its attempts and wire epochs, the progress
+    watchdog and divergence-detector timers, and the post-repair
+    verification.  Each attempt plans the uncovered remainder of every
+    unfinished chunk; a chunk lost mid-repair outside the plan joins the
+    lost set of a ``store=True`` job (escalation).
+    """
+
+    stripe_id: str
+    repair_id: str
+    #: failed node -> its chunk's reassembly, primary chunk first
+    chunks: dict[int, _ChunkRepair]
+    tag: str = ""
+    store: bool = True
+    #: fraction of cluster bandwidth this repair (and its re-plans) may use
+    bandwidth_scale: float = 1.0
+    max_attempts: int = 3
+    timeout_s: float | None = None
+    backoff_base_s: float = 0.02
+    deadline_s: float | None = None
+    #: plans for the first attempt, when the caller already has them
+    first_plan: dict | None = None
+    #: terminal callback, fired once with {failed node: RepairOutcome}
+    on_done: object = None
+    start_time: float = 0.0
+    busy_before: list | None = None
     attempt: int = 0
     retries: int = 0
     replans: int = 0
     bytes_retransferred: int = 0
+    #: epoch id of the current attempt (the watchdog/detector key)
     wire_id: str = ""
+    in_flight: bool = False
+    received: int = 0
     failure_reason: str | None = None
-    escalate: bool = False
+    escalated: bool = False
     degraded: bool = False
+    settled: bool = False
     timer: object = None
     armed_timeout: float = 0.0
     timer_mark: int = -1
-    timeout_s: float | None = None
-    max_attempts: int = 3
-    backoff_base_s: float = 0.02
-    watchdog: bool = False
+    deadline_timer: object = None
     # ---- divergence-detector sampler (DivergenceMonitor wired only) --- #
     detect_timer: object = None
     detect_period_s: float = 0.0
@@ -159,36 +215,33 @@ class _Assembly:
     corruption_detected: bool = False
     #: stripe chunk indices this repair proved corrupt and quarantined
     quarantined: list = field(default_factory=list)
-    #: post-repair parity verification verdict (None = not verifiable)
-    integrity_ok: bool | None = None
-    #: attempt number the completed-buffer verification last ran for
-    #: (guards against re-verifying on _finish_assembly re-entry)
-    integrity_attempt: int = -1
-    # ---- non-blocking dispatch (orchestrator path) -------------------- #
-    #: terminal callback fired exactly once with the assembly itself
-    on_done: object = None
-    store: bool = True
-    start_time: float = 0.0
-    busy_before: list | None = None
-    #: fraction of cluster bandwidth this repair (and its re-plans) may use
-    bandwidth_scale: float = 1.0
     # ---- observability (None / NULL_SPAN when tracing is off) --------- #
     span: object = None
     attempt_span: object = None
 
     @property
     def complete(self) -> bool:
-        return self.done_bytes >= self.chunk_bytes
+        return all(c.complete for c in self.chunks.values())
 
     @property
     def failed(self) -> bool:
         return self.failure_reason is not None
 
-    def plan_participants(self) -> tuple[int, ...]:
-        if self.plan is None:
-            return ()
+    @property
+    def primary(self) -> _ChunkRepair:
+        return next(iter(self.chunks.values()))
+
+    def participants(self) -> tuple[int, ...]:
         return tuple(
-            sorted({c for p in self.plan.pipelines for c in p.participants})
+            sorted(
+                {
+                    n
+                    for c in self.chunks.values()
+                    if c.plan is not None
+                    for p in c.plan.pipelines
+                    for n in p.participants
+                }
+            )
         )
 
 
@@ -282,9 +335,10 @@ class ClusterSystem:
         #: (wire id, pipeline id) -> open pipeline span (tracer enabled only)
         self._pipeline_spans: dict[tuple[str, int], object] = {}
         self._alive = [True] * num_nodes
-        self._assemblies: dict[str, _Assembly] = {}
-        #: wire id (repair id or per-attempt epoch) -> live assembly
-        self._wire_assembly: dict[str, _Assembly] = {}
+        #: unsettled repair jobs by repair id
+        self._jobs: dict[str, RepairJob] = {}
+        #: wire id (per chunk, per attempt epoch) -> (job, chunk) it feeds
+        self._wire_job: dict[str, tuple[RepairJob, _ChunkRepair]] = {}
         #: wire ids of aborted attempts; their in-flight slices are
         #: silently dropped instead of corrupting the new attempt's state
         self._retired: set[str] = set()
@@ -360,37 +414,29 @@ class ClusterSystem:
         the death through detection — the dispatch-time liveness probe,
         a progress-watchdog abort, or heartbeat-lease expiry.
 
-        A crash is classified against every active self-healing repair:
-        a *participant* (helper/hub of the current plan) crash is left to
+        A crash is classified against every active repair job: a
+        *participant* (helper/hub of the current plans) crash is left to
         the progress watchdog, which re-plans the remainder; a crash
-        that loses a second, *uninvolved* chunk of the stripe escalates
-        the repair to the multi-chunk path immediately.
+        that loses another, *uninvolved* chunk of the stripe joins that
+        chunk to a storing job's lost set and re-plans at once
+        (escalation).  Degraded reads (``store=False``) ignore it.
         """
         self._alive[node] = False
         log.debug("node %d crashed at t=%.6f", node, self.events.now)
         if self.tracer.enabled:
-            live_span = next(
-                (a.span for a in self._assemblies.values() if a.span), None
-            )
-            self.tracer.event(live_span, "node.crash", node=node)
-        for asm in list(self._assemblies.values()):
-            if not asm.watchdog or asm.complete or asm.failed or asm.escalate:
-                continue
-            loc = self.master.stripe(asm.stripe_id)
+            self.tracer.event(self._live_span(), "node.crash", node=node)
+        for job in list(self._jobs.values()):
             if (
-                node in loc.placement
-                and node != asm.failed_node
-                and node not in asm.plan_participants()
+                job.store
+                and node in self.master.stripe(job.stripe_id).placement
+                and node not in job.chunks
+                and node not in job.participants()
+                and self._assign_spare(job, node, "second chunk lost mid-repair")
+                and job.in_flight
             ):
-                asm.escalate = True
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        asm.span,
-                        "repair.escalate",
-                        node=node,
-                        reason="second chunk lost mid-repair",
-                    )
-                self._finish_assembly(asm, retire=True)
+                self._abort_attempt(
+                    job, f"chunk on node {node} lost mid-repair", retry=False
+                )
         listeners = list(self._failure_listeners)
         profiler = self.events.profiler
         if profiler is not None:
@@ -580,28 +626,22 @@ class ClusterSystem:
     def _on_bad_chunk(self, node: int, task: TransferTask) -> None:
         """A helper's stored chunk failed its digest at assign time."""
         self.quarantine_chunk(task.stripe_id, task.chunk_index, node, kind="read")
-        rid = task.repair_id or task.stripe_id
-        asm = self._wire_assembly.get(rid)
-        if (
-            asm is None
-            or not asm.watchdog
-            or asm.complete
-            or asm.failed
-            or asm.escalate
-        ):
-            return
-        asm.corruption_detected = True
-        if task.chunk_index not in asm.quarantined:
-            asm.quarantined.append(task.chunk_index)
+        routed = self._wire_job.get(task.repair_id or task.stripe_id)
+        if routed is None:
+            return  # a retired epoch: its job has moved on
+        job = routed[0]
+        job.corruption_detected = True
+        if task.chunk_index not in job.quarantined:
+            job.quarantined.append(task.chunk_index)
         if self.tracer.enabled:
             self.tracer.event(
-                asm.attempt_span or asm.span,
+                job.attempt_span or job.span,
                 "integrity.bad_chunk",
                 node=node,
                 chunk=task.chunk_index,
             )
         self._abort_attempt(
-            asm,
+            job,
             f"helper chunk {task.chunk_index} failed digest verification "
             f"on node {node}",
         )
@@ -625,9 +665,9 @@ class ClusterSystem:
             "wire corruption caught: %d->%d [%d, %d) of %s",
             data.source, dest, data.start, data.stop, rid,
         )
-        asm = self._wire_assembly.get(rid)
-        if asm is not None:
-            asm.corruption_detected = True
+        routed = self._wire_job.get(rid)
+        if routed is not None:
+            routed[0].corruption_detected = True
         if rid in self._retired or not self._alive[data.source]:
             return  # stale epoch / dead sender: the watchdog path owns it
         if self.nodes[data.source].retransmit(
@@ -679,18 +719,31 @@ class ClusterSystem:
         )
         return report, holders
 
-    def _verify_completed(self, asm: _Assembly) -> bool:
-        """Post-repair verification of a completed watchdog assembly.
+    def _verify_completed(self, job: RepairJob) -> bool:
+        """Post-repair verification of every chunk of a completed job.
 
-        True — the assembly is terminal (verified clean, healed from
-        surplus parity, or explicitly failed); False — the rebuilt bytes
-        were poisoned, the culprit is quarantined, and a fresh attempt
-        has been scheduled over the remaining helpers.
+        True — the job is terminal (each chunk verified clean, healed
+        from surplus parity, or the job explicitly failed); False — some
+        rebuilt bytes were poisoned, the culprits are quarantined, and a
+        fresh attempt over the remaining helpers has been scheduled for
+        the poisoned chunks.
         """
-        if not self.integrity_verify or asm.lost_chunk < 0:
+        if not self.integrity_verify:
             return True
+        poisoned = [c for c in job.chunks.values() if not self._verify_chunk(job, c)]
+        if job.failed or not poisoned:
+            return True
+        # scrub the poisoned chunks and repair them again with the
+        # quarantined culprits excluded
+        for chunk in poisoned:
+            job.bytes_retransferred += chunk.restart()
+        self._abort_attempt(job, "rebuilt chunk failed integrity verification")
+        return False
+
+    def _verify_chunk(self, job: RepairJob, chunk: _ChunkRepair) -> bool:
+        """Parity-audit one rebuilt chunk; False asks for a re-repair."""
         report, holders = self._integrity_audit(
-            asm.stripe_id, asm.lost_chunk, asm.buffer
+            job.stripe_id, chunk.lost_chunk, chunk.buffer
         )
         tracer = self.tracer
         m = self.metrics
@@ -704,7 +757,7 @@ class ClusterSystem:
                 ).inc()
             if tracer.enabled:
                 tracer.event(
-                    asm.attempt_span or asm.span,
+                    job.attempt_span or job.span,
                     "integrity.verify",
                     result=result,
                     culprits=list(report.culprits),
@@ -712,62 +765,40 @@ class ClusterSystem:
                 )
 
         if report.ok:
-            asm.integrity_ok = True
+            chunk.integrity_ok = True
             note("ok")
             return True
         if report.ok is None:
             # too few clean chunks survive to check anything
-            asm.integrity_ok = None
+            chunk.integrity_ok = None
             note("unverifiable")
             return True
         for ci in report.culprits:
             self.quarantine_chunk(
-                asm.stripe_id, ci, holders.get(ci), kind="verify"
+                job.stripe_id, ci, holders.get(ci), kind="verify"
             )
-            if ci not in asm.quarantined:
-                asm.quarantined.append(ci)
-        asm.corruption_detected = True
+            if ci not in job.quarantined:
+                job.quarantined.append(ci)
+        job.corruption_detected = True
         if report.rebuilt_ok:
             # rot exists at rest but the culprit never fed this repair:
             # the rebuilt value checks out against the clean chunks
-            asm.integrity_ok = True
+            chunk.integrity_ok = True
             note("corrupt-helper")
             return True
-        if report.culprits and asm.attempt < asm.max_attempts:
-            # the rebuilt bytes are poisoned: scrub everything and
-            # repair again with the quarantined culprit excluded
+        if report.culprits and job.attempt < job.max_attempts:
             note("retry")
             log.debug(
                 "%s: rebuilt chunk failed verification (culprits %s); "
-                "re-repairing", asm.repair_id, list(report.culprits),
+                "re-repairing", chunk.repair_id, list(report.culprits),
             )
-            if asm.timer is not None:
-                self.events.cancel(asm.timer)
-                asm.timer = None
-            asm.retries += 1
-            asm.bytes_retransferred += asm.done_bytes
-            asm.buffer[:] = 0
-            asm.completed = []
-            asm.done_bytes = 0
-            asm.expected = {}
-            asm.outstanding = {}
-            asm.slice_arrivals = {}
-            self._retire_attempt(asm)
-            if tracer.enabled and asm.attempt_span:
-                tracer.event(
-                    asm.attempt_span, "attempt.abort",
-                    reason="rebuilt chunk failed integrity verification",
-                )
-            self._end_attempt_span(asm, aborted=True)
-            delay = asm.backoff_base_s * (2 ** (asm.attempt - 1))
-            self.events.schedule(delay, lambda a=asm: self._start_attempt(a))
             return False
         if report.predicted is not None:
             # attempts exhausted (or no culprit among stored chunks) but
             # the surplus parity pins the true value: heal in place
-            asm.buffer[:] = report.predicted
-            asm.integrity_ok = True
-            asm.degraded = True
+            chunk.buffer[:] = report.predicted
+            chunk.integrity_ok = True
+            job.degraded = True
             if m.enabled:
                 m.counter(
                     "repro_integrity_healed_total",
@@ -776,47 +807,19 @@ class ClusterSystem:
                 ).inc()
             if tracer.enabled:
                 tracer.event(
-                    asm.attempt_span or asm.span, "integrity.healed",
-                    stripe=asm.stripe_id, chunk=asm.lost_chunk,
+                    job.attempt_span or job.span, "integrity.healed",
+                    stripe=job.stripe_id, chunk=chunk.lost_chunk,
                 )
             note("healed")
             return True
-        asm.failure_reason = (
+        job.failure_reason = (
             "rebuilt chunk failed integrity verification and the "
             "corruption could not be localized"
         )
         note("failed")
         return True
 
-    def _audit_multi_chunk(
-        self, stripe_id: str, lost: int, buffer
-    ) -> tuple[bool, tuple[int, ...], bool]:
-        """Detection-only audit for multi-chunk settle paths.
-
-        Returns ``(store_ok, quarantined, detected)``: whether the
-        rebuilt bytes may be persisted, which chunks were quarantined,
-        and whether corruption was detected at all.  No healing or
-        re-repair here — the multi paths surface an explicit failed
-        outcome and let their caller re-dispatch.
-        """
-        if not self.integrity_verify:
-            return True, (), False
-        report, holders = self._integrity_audit(stripe_id, lost, buffer)
-        if report.ok is not False:
-            return True, (), False
-        for ci in report.culprits:
-            self.quarantine_chunk(stripe_id, ci, holders.get(ci), kind="verify")
-        if self.metrics.enabled:
-            self.metrics.counter(
-                "repro_integrity_verifications_total",
-                "Post-repair stripe verifications by result.",
-                result="ok" if report.rebuilt_ok else "failed",
-            ).inc()
-        if report.rebuilt_ok:
-            return True, report.culprits, True
-        return False, report.culprits, True
-
-    # ---- repair ------------------------------------------------------- #
+    # ---- repair entry points (adapters over one RepairJob) ------------- #
 
     def repair(
         self,
@@ -844,9 +847,11 @@ class ClusterSystem:
         attempt that stops making progress, scrubs half-received slices,
         and re-dispatches after an exponential backoff
         (``backoff_base_s * 2**attempt``) — re-planning only the
-        unfinished remainder down the master's degradation ladder.  A
-        second chunk loss mid-repair escalates to :meth:`repair_multi`
-        (which persists the rebuilt chunks regardless of ``store``).
+        unfinished remainder down the master's degradation ladder.  With
+        ``store=True`` a second chunk lost mid-repair outside the plan
+        joins the running repair, which rebuilds both and ends
+        ``escalated``; a ``store=False`` read keeps decoding its own
+        chunk from the survivors.
 
         Faults: ``inject_failure=(node, delay)`` crashes one node
         ``delay`` simulated seconds in; ``injector`` arms a whole
@@ -863,73 +868,25 @@ class ClusterSystem:
         excluded from helpers, the chunk is rebuilt on the requester,
         and relocation clears the quarantine.
         """
-        lost0 = self.master.stripe(stripe_id).chunk_on(failed_node)
-        if self._alive[failed_node] and not self.master.is_quarantined(
-            stripe_id, lost0
-        ):
-            raise ValueError(f"node {failed_node} has not failed")
-        if not self._alive[requester]:
-            raise ValueError("requester node is down")
+        self._check_repairable(stripe_id, failed_node, requester)
         if on_failure not in ("raise", "outcome"):
             raise ValueError('on_failure must be "raise" or "outcome"')
-        start_time = self.events.now
-        busy_before = (
-            [(n.uplink_busy_s, n.downlink_busy_s) for n in self.nodes]
-            if self.metrics.enabled
-            else None
-        )
         if inject_failure is not None:
             node, delay = inject_failure
             self.events.schedule(delay, lambda n=node: self.fail_node(n))
         if injector is not None:
             injector.arm(self)
-
-        repair_id = f"{stripe_id}/n{failed_node}"
-        chunk_bytes = self._stripe_sizes[stripe_id]
-        asm = _Assembly(
-            stripe_id=stripe_id,
-            repair_id=repair_id,
-            requester=requester,
-            chunk_bytes=chunk_bytes,
-            failed_node=failed_node,
-            lost_chunk=self.master.stripe(stripe_id).chunk_on(failed_node),
-            buffer=np.zeros(chunk_bytes, dtype=np.uint8),
-            timeout_s=progress_timeout_s,
-            max_attempts=max_attempts,
-            backoff_base_s=backoff_base_s,
-            watchdog=True,
+        outcome = self._run_job(
+            stripe_id,
+            {failed_node: requester},
             store=store,
-            start_time=start_time,
-        )
-        if self.tracer.enabled:
-            asm.span = self.tracer.start_span(
-                f"repair {repair_id}",
-                kind="repair",
-                stripe=stripe_id,
-                failed_node=failed_node,
-                requester=requester,
-                chunk_bytes=chunk_bytes,
-                algorithm=self.master.algorithm.name,
-            )
-        self._assemblies[repair_id] = asm
-        self._start_attempt(asm)
-        self.events.run()
-        self._drop_assembly(asm)
-
-        if asm.escalate:
-            outcome = self._finish_escalated(
-                asm, start_time, on_failure="outcome"
-            )
-        else:
-            outcome = self._settle_outcome(asm)
-        self._finalize_repair_obs(asm, outcome, start_time, busy_before)
+            max_attempts=max_attempts,
+            progress_timeout_s=progress_timeout_s,
+            backoff_base_s=backoff_base_s,
+        )[failed_node]
         if outcome.status == FAILED and on_failure == "raise":
-            if asm.escalate:
-                raise RuntimeError(
-                    f"repair of {stripe_id} failed: {outcome.failure_reason}"
-                )
             raise RuntimeError(
-                f"repair of {stripe_id} failed after {asm.attempt} "
+                f"repair of {stripe_id} failed after {outcome.attempts} "
                 f"attempts: {outcome.failure_reason}"
             )
         return outcome
@@ -966,66 +923,19 @@ class ClusterSystem:
 
         An (n, k) stripe tolerates up to n-k simultaneous failures; each
         lost chunk is rebuilt at its own requester by an independent
-        multi-pipeline plan over the shared surviving helpers, all
-        executing in the same event-queue run (the second plan is
-        computed on the bandwidth the first leaves behind, so their
-        union is feasible).  Returns outcomes keyed by failed node.
+        multi-pipeline plan over the shared surviving helpers (see
+        :meth:`_plan_multi`), all in one self-healing job with the same
+        watchdog, re-planning and verification as :meth:`repair`.
+        Returns outcomes keyed by failed node (plus any chunk the job
+        picked up by escalation).
         """
-        loc = self.master.stripe(stripe_id)
         failed_nodes = tuple(failed_nodes)
-        starts: dict[int, float] = {}
         plans = self._plan_multi(stripe_id, failed_nodes, requester_for)
-        for f in failed_nodes:
-            starts[f] = self.events.now
-            self._dispatch_plan(
-                plans[f], stripe_id, f, requester_for[f],
-                repair_id=f"{stripe_id}/n{f}",
-            )
-        self.events.run()
-        outcomes: dict[int, RepairOutcome] = {}
-        for f in failed_nodes:
-            asm = self._pop_assembly(f"{stripe_id}/n{f}")
-            if not asm.complete:
-                raise RuntimeError(f"multi-failure repair of chunk on {f} stalled")
-            lost = loc.chunk_on(f)
-            store_ok, quarantined, detected = self._audit_multi_chunk(
-                stripe_id, lost, asm.buffer
-            )
-            if not store_ok:
-                outcomes[f] = RepairOutcome(
-                    plan=plans[f],
-                    rebuilt=None,
-                    elapsed_seconds=asm.last_arrival - starts[f],
-                    bytes_received=asm.received,
-                    verified=False,
-                    status=FAILED,
-                    failure_reason="rebuilt chunk failed integrity verification",
-                    corruption_detected=True,
-                    quarantined_chunks=quarantined,
-                )
-                continue
-            self.nodes[requester_for[f]].store.put(stripe_id, lost, asm.buffer)
-            self.master.relocate_chunk(stripe_id, lost, requester_for[f])
-            fstore = self.nodes[f].store
-            verified = fstore.has(stripe_id, lost) and bool(
-                np.array_equal(asm.buffer, fstore.get(stripe_id, lost))
-            )
-            if not verified and not (
-                fstore.has(stripe_id, lost) and fstore.verify(stripe_id, lost)
-            ):
-                # the oracle copy is itself rotten (scrub-repair) or gone;
-                # the parity audit is the only ground truth left
-                verified = store_ok
-            outcomes[f] = RepairOutcome(
-                plan=plans[f],
-                rebuilt=asm.buffer,
-                elapsed_seconds=asm.last_arrival - starts[f],
-                bytes_received=asm.received,
-                verified=verified,
-                corruption_detected=detected,
-                quarantined_chunks=quarantined,
-            )
-        return outcomes
+        return self._run_job(
+            stripe_id,
+            {f: requester_for[f] for f in failed_nodes},
+            first_plan=plans,
+        )
 
     def repair_node(
         self,
@@ -1086,76 +996,120 @@ class ClusterSystem:
         )
         outcomes: dict[str, RepairOutcome] = {}
         for batch in node_plan.batches:
-            starts = {}
             for sid in batch:
-                starts[sid] = self.events.now
-                self._dispatch_plan(
-                    node_plan.plans[sid], sid, failed_node, requester_for[sid]
+                self._submit(
+                    sid,
+                    {failed_node: requester_for[sid]},
+                    first_plan={failed_node: node_plan.plans[sid]},
+                    on_done=lambda outs, s=sid: outcomes.__setitem__(
+                        s, outs[failed_node]
+                    ),
                 )
             self.events.run()
-            for sid in batch:
-                asm = self._pop_assembly(f"{sid}/n{failed_node}")
-                if not asm.complete:
-                    # structured per-stripe verdict: whole-node recovery
-                    # degrades (other stripes keep repairing) instead of
-                    # aborting the batch loop with a bare RuntimeError
-                    outcomes[sid] = RepairOutcome(
-                        plan=node_plan.plans[sid],
-                        rebuilt=None,
-                        elapsed_seconds=self.events.now - starts[sid],
-                        bytes_received=asm.received,
-                        verified=False,
-                        status=FAILED,
-                        failure_reason=(
-                            f"batched repair incomplete: {asm.received} of "
-                            f"{asm.chunk_bytes} bytes arrived"
-                        ),
-                    )
-                    continue
-                loc = self.master.stripe(sid)
-                lost = loc.chunk_on(failed_node)
-                store_ok, quarantined, detected = self._audit_multi_chunk(
-                    sid, lost, asm.buffer
-                )
-                if not store_ok:
-                    outcomes[sid] = RepairOutcome(
-                        plan=node_plan.plans[sid],
-                        rebuilt=None,
-                        elapsed_seconds=asm.last_arrival - starts[sid],
-                        bytes_received=asm.received,
-                        verified=False,
-                        status=FAILED,
-                        failure_reason=(
-                            "rebuilt chunk failed integrity verification"
-                        ),
-                        corruption_detected=True,
-                        quarantined_chunks=quarantined,
-                    )
-                    continue
-                self.nodes[requester_for[sid]].store.put(sid, lost, asm.buffer)
-                self.master.relocate_chunk(sid, lost, requester_for[sid])
-                fstore = self.nodes[failed_node].store
-                verified = fstore.has(sid, lost) and bool(
-                    np.array_equal(asm.buffer, fstore.get(sid, lost))
-                )
-                if not verified and not (
-                    fstore.has(sid, lost) and fstore.verify(sid, lost)
-                ):
-                    # rot-then-crash: the dead node's copy is not ground
-                    # truth; fall back to the parity audit's verdict
-                    verified = store_ok
-                outcomes[sid] = RepairOutcome(
-                    plan=node_plan.plans[sid],
-                    rebuilt=asm.buffer,
-                    elapsed_seconds=asm.last_arrival - starts[sid],
-                    bytes_received=asm.received,
-                    verified=verified,
-                    corruption_detected=detected,
-                    quarantined_chunks=quarantined,
+        for sid, out in outcomes.items():
+            if out.status == FAILED:
+                # structured per-stripe verdict: whole-node recovery
+                # degrades (other stripes keep repairing)
+                out.failure_reason = (
+                    f"batched repair incomplete: {out.bytes_received} of "
+                    f"{self._stripe_sizes[sid]} bytes arrived "
+                    f"({out.failure_reason})"
                 )
         return outcomes
 
-    # ---- non-blocking dispatch (recovery-orchestrator substrate) ------ #
+    def repair_async(
+        self,
+        stripe_id: str,
+        failed_node: int,
+        requester: int,
+        *,
+        on_done,
+        store: bool = True,
+        bandwidth_scale: float = 1.0,
+        max_attempts: int = 3,
+        progress_timeout_s: float | None = None,
+        backoff_base_s: float = 0.02,
+    ) -> str:
+        """Start a self-healing chunk repair without draining the queue.
+
+        The non-blocking sibling of :meth:`repair`, built for control
+        loops that live *inside* the event queue (the recovery
+        orchestrator, foreground degraded reads): the repair is planned
+        inside ``bandwidth_scale`` of every node's bandwidth, dispatched,
+        and left to the same job state machine as :meth:`repair`; when
+        it reaches a terminal state, ``on_done(outcome)`` fires from
+        within the event-queue run.  A ``store=True`` repair that loses
+        a second chunk mid-repair rebuilds it in place and reports
+        ``escalated``; a ``store=False`` read keeps decoding its own
+        chunk from the survivors.
+
+        Returns the repair id (unique per call, so concurrent repairs of
+        the same chunk — e.g. a degraded read racing the orchestrator —
+        never collide).  As with :meth:`repair`, a live ``failed_node``
+        whose chunk is quarantined dispatches a scrub-repair.
+        """
+        self._check_repairable(stripe_id, failed_node, requester)
+        self._async_seq += 1
+        job = self._submit(
+            stripe_id,
+            {failed_node: requester},
+            store=store,
+            bandwidth_scale=bandwidth_scale,
+            max_attempts=max_attempts,
+            progress_timeout_s=progress_timeout_s,
+            backoff_base_s=backoff_base_s,
+            on_done=lambda outs: on_done(outs[failed_node]),
+            tag=f"@a{self._async_seq}",
+        )
+        return job.repair_id
+
+    def repair_multi_async(
+        self,
+        stripe_id: str,
+        failed_nodes: tuple[int, ...],
+        requester_for: dict[int, int],
+        *,
+        on_done,
+        bandwidth_scale: float = 1.0,
+        deadline_s: float | None = None,
+    ) -> str:
+        """Rebuild several lost chunks of one stripe without blocking.
+
+        The non-blocking sibling of :meth:`repair_multi`: each lost
+        chunk's plan is carved out of ``bandwidth_scale`` (the 1/m split
+        happens *inside* the share) and dispatched onto the running event
+        queue.  When the job settles — or ``deadline_s`` elapses first —
+        ``on_done(outcomes)`` fires with a per-failed-node
+        :class:`RepairOutcome` dict; a missed deadline fails every chunk
+        with a ``failure_reason`` instead of raising, so an orchestrator
+        can re-queue them.
+        """
+        failed_nodes = tuple(failed_nodes)
+        plans = self._plan_multi(
+            stripe_id, failed_nodes, requester_for,
+            bandwidth_scale=bandwidth_scale,
+        )
+        self._async_seq += 1
+        return self._submit(
+            stripe_id,
+            {f: requester_for[f] for f in failed_nodes},
+            bandwidth_scale=bandwidth_scale,
+            deadline_s=deadline_s,
+            first_plan=plans,
+            on_done=on_done,
+            tag=f"@m{self._async_seq}",
+        ).tag
+
+    def _check_repairable(
+        self, stripe_id: str, failed_node: int, requester: int
+    ) -> None:
+        lost = self.master.stripe(stripe_id).chunk_on(failed_node)
+        if self._alive[failed_node] and not self.master.is_quarantined(
+            stripe_id, lost
+        ):
+            raise ValueError(f"node {failed_node} has not failed")
+        if not self._alive[requester]:
+            raise ValueError("requester node is down")
 
     def _plan_multi(
         self,
@@ -1216,524 +1170,371 @@ class ClusterSystem:
                 k=self.code.k,
                 chunk_index={n: loc.chunk_on(n) for n in helpers},
             )
-            plan = self.master.algorithm.plan(context)
-            plan.validate()
-            plans[f] = plan
+            plans[f] = self.master.plan_with_fallback(context)
         return plans
 
-    def repair_async(
+    # ---- the repair job state machine ---------------------------------- #
+
+    def _run_job(
+        self, stripe_id: str, requester_for: dict[int, int], **kw
+    ) -> dict[int, RepairOutcome]:
+        """Submit a job and drain the event queue; returns its outcomes."""
+        settled: dict[int, RepairOutcome] = {}
+        self._submit(stripe_id, requester_for, on_done=settled.update, **kw)
+        self.events.run()
+        return settled
+
+    def _submit(
         self,
         stripe_id: str,
-        failed_node: int,
-        requester: int,
+        requester_for: dict[int, int],
         *,
-        on_done,
         store: bool = True,
         bandwidth_scale: float = 1.0,
         max_attempts: int = 3,
         progress_timeout_s: float | None = None,
         backoff_base_s: float = 0.02,
-    ) -> str:
-        """Start a self-healing chunk repair without draining the queue.
-
-        The non-blocking sibling of :meth:`repair`, built for control
-        loops that live *inside* the event queue (the recovery
-        orchestrator, foreground degraded reads): the repair is planned
-        inside ``bandwidth_scale`` of every node's bandwidth, dispatched,
-        and left to the same watchdog/re-plan state machine; when it
-        reaches a terminal state, ``on_done(outcome)`` fires from within
-        the event-queue run.  A mid-repair second chunk loss is *not*
-        escalated inline (that would nest an event-queue run); the
-        outcome comes back ``failed`` with an explanatory
-        ``failure_reason`` and the caller decides whether to re-dispatch
-        through :meth:`repair_multi_async`.
-
-        Returns the repair id (unique per call, so concurrent repairs of
-        the same chunk — e.g. a degraded read racing the orchestrator —
-        never collide).  As with :meth:`repair`, a live ``failed_node``
-        whose chunk is quarantined dispatches a scrub-repair.
-        """
-        lost0 = self.master.stripe(stripe_id).chunk_on(failed_node)
-        if self._alive[failed_node] and not self.master.is_quarantined(
-            stripe_id, lost0
-        ):
-            raise ValueError(f"node {failed_node} has not failed")
-        if not self._alive[requester]:
-            raise ValueError("requester node is down")
-        self._async_seq += 1
-        repair_id = f"{stripe_id}/n{failed_node}@a{self._async_seq}"
-        chunk_bytes = self._stripe_sizes[stripe_id]
-        asm = _Assembly(
+        deadline_s: float | None = None,
+        first_plan: dict[int, RepairPlan] | None = None,
+        on_done,
+        tag: str = "",
+    ) -> RepairJob:
+        """Build one repair job for ``requester_for``'s lost chunks and
+        start its first attempt.  ``on_done({failed node: outcome})``
+        fires exactly once, from inside the event-queue run that settles
+        the job (or synchronously, if the first plan is impossible)."""
+        loc = self.master.stripe(stripe_id)
+        chunks = {
+            f: self._new_chunk(stripe_id, loc, f, r, tag)
+            for f, r in requester_for.items()
+        }
+        job = RepairJob(
             stripe_id=stripe_id,
-            repair_id=repair_id,
-            requester=requester,
-            chunk_bytes=chunk_bytes,
-            failed_node=failed_node,
-            lost_chunk=self.master.stripe(stripe_id).chunk_on(failed_node),
-            buffer=np.zeros(chunk_bytes, dtype=np.uint8),
-            timeout_s=progress_timeout_s,
-            max_attempts=max_attempts,
-            backoff_base_s=backoff_base_s,
-            watchdog=True,
+            repair_id=next(iter(chunks.values())).repair_id,
+            chunks=chunks,
+            tag=tag,
             store=store,
-            start_time=self.events.now,
             bandwidth_scale=bandwidth_scale,
+            max_attempts=max_attempts,
+            timeout_s=progress_timeout_s,
+            backoff_base_s=backoff_base_s,
+            deadline_s=deadline_s,
+            first_plan=first_plan,
+            on_done=on_done,
+            start_time=self.events.now,
             busy_before=(
                 [(n.uplink_busy_s, n.downlink_busy_s) for n in self.nodes]
                 if self.metrics.enabled
                 else None
             ),
-            on_done=lambda a, cb=on_done: self._complete_async(a, cb),
         )
         if self.tracer.enabled:
-            asm.span = self.tracer.start_span(
-                f"repair {repair_id}",
+            primary = job.primary
+            job.span = self.tracer.start_span(
+                f"repair {job.repair_id}",
                 kind="repair",
                 stripe=stripe_id,
-                failed_node=failed_node,
-                requester=requester,
-                chunk_bytes=chunk_bytes,
+                failed_node=primary.failed_node,
+                requester=primary.requester,
+                chunk_bytes=primary.chunk_bytes,
                 algorithm=self.master.algorithm.name,
                 bandwidth_scale=bandwidth_scale,
             )
-        self._assemblies[repair_id] = asm
-        self._start_attempt(asm)
-        return repair_id
-
-    def _settle_outcome(self, asm: _Assembly) -> RepairOutcome:
-        """Terminal outcome of a finished, non-escalated watchdog repair."""
-        if not asm.complete or asm.failed:
-            reason = asm.failure_reason or "repair did not complete"
-            return RepairOutcome(
-                plan=asm.plan,
-                rebuilt=None,
-                elapsed_seconds=self.events.now - asm.start_time,
-                bytes_received=asm.received,
-                verified=False,
-                attempts=max(asm.attempt, 1),
-                status=FAILED,
-                retries=asm.retries,
-                replans=asm.replans,
-                bytes_retransferred=asm.bytes_retransferred,
-                failure_reason=reason,
-                corruption_detected=asm.corruption_detected,
-                quarantined_chunks=tuple(sorted(asm.quarantined)),
+        self._jobs[job.repair_id] = job
+        self._start_attempt(job)
+        if deadline_s is not None and not job.settled:
+            job.deadline_timer = self.events.schedule(
+                deadline_s, lambda j=job: self._on_deadline(j)
             )
-        if asm.lost_chunk >= 0:
-            lost_chunk = asm.lost_chunk
-        else:
-            loc = self.master.stripe(asm.stripe_id)
-            lost_chunk = loc.chunk_on(asm.failed_node)
-        rebuilt = asm.buffer
-        if asm.store:
-            store = self.nodes[asm.requester].store
-            store.put(asm.stripe_id, lost_chunk, rebuilt)
-            if not store.verify(asm.stripe_id, lost_chunk):
-                # a torn write garbled the persisted copy; the digest
-                # caught it on readback — rewrite from the in-memory
-                # buffer (the tear is one-shot)
-                asm.corruption_detected = True
-                log.debug(
-                    "%s: torn write caught on readback at node %d",
-                    asm.repair_id, asm.requester,
-                )
-                if self.metrics.enabled:
-                    self.metrics.counter(
-                        "repro_integrity_corruption_detected_total",
-                        "Silent-corruption detections, by detection path.",
-                        kind="torn-write",
-                    ).inc()
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        asm.span, "integrity.torn_write", node=asm.requester
-                    )
-                store.put(asm.stripe_id, lost_chunk, rebuilt)
-            self.master.relocate_chunk(asm.stripe_id, lost_chunk, asm.requester)
-        failed_store = self.nodes[asm.failed_node].store
-        if failed_store.has(asm.stripe_id, lost_chunk):
-            original = failed_store.get(asm.stripe_id, lost_chunk)
-            verified = bool(np.array_equal(rebuilt, original))
-        else:
-            verified = False
-        if not verified and asm.integrity_ok is True:
-            # the "original" on the failed/quarantined node was itself
-            # rotten (or gone): parity verification over the clean
-            # stored chunks proved the rebuilt value correct
-            verified = True
-        return RepairOutcome(
-            plan=asm.plan,
-            rebuilt=rebuilt,
-            elapsed_seconds=asm.last_arrival - asm.start_time,
-            bytes_received=asm.received,
-            verified=verified,
-            attempts=asm.attempt,
-            status=DEGRADED if asm.degraded else COMPLETED,
-            retries=asm.retries,
-            replans=asm.replans,
-            bytes_retransferred=asm.bytes_retransferred,
-            corruption_detected=asm.corruption_detected,
-            quarantined_chunks=tuple(sorted(asm.quarantined)),
+        return job
+
+    def _new_chunk(
+        self, stripe_id: str, loc, failed_node: int, requester: int, tag: str
+    ) -> _ChunkRepair:
+        chunk_bytes = self._stripe_sizes[stripe_id]
+        return _ChunkRepair(
+            failed_node=failed_node,
+            requester=requester,
+            lost_chunk=loc.chunk_on(failed_node),
+            repair_id=f"{stripe_id}/n{failed_node}{tag}",
+            chunk_bytes=chunk_bytes,
+            buffer=np.zeros(chunk_bytes, dtype=np.uint8),
         )
 
-    def _complete_async(self, asm: _Assembly, callback) -> None:
-        """Terminal handler for :meth:`repair_async` dispatches."""
-        if asm.escalate:
-            outcome = RepairOutcome(
-                plan=asm.plan,
-                rebuilt=None,
-                elapsed_seconds=self.events.now - asm.start_time,
-                bytes_received=asm.received,
-                verified=False,
-                attempts=max(asm.attempt, 1),
-                status=FAILED,
-                retries=asm.retries,
-                replans=asm.replans,
-                bytes_retransferred=asm.bytes_retransferred,
-                failure_reason=(
-                    "second chunk lost mid-repair; "
-                    "multi-chunk repair required"
-                ),
-                corruption_detected=asm.corruption_detected,
-                quarantined_chunks=tuple(sorted(asm.quarantined)),
-            )
-        else:
-            outcome = self._settle_outcome(asm)
-        self._finalize_repair_obs(asm, outcome, asm.start_time, asm.busy_before)
-        # routing cleanup WITHOUT purging retired epochs: stale slices of
-        # aborted attempts may still be in flight and must keep being
-        # dropped silently; the finished wire joins the retired set so a
-        # straggling duplicate cannot hit an unknown-assembly error
-        self._assemblies.pop(asm.repair_id, None)
-        self._wire_assembly.pop(asm.wire_id, None)
-        self._retired.add(asm.wire_id or asm.repair_id)
-        callback(outcome)
+    def _assign_spare(self, job: RepairJob, node: int, reason: str) -> bool:
+        """Rebuild the chunk lost on ``node`` at a spare requester.
 
-    def repair_multi_async(
-        self,
-        stripe_id: str,
-        failed_nodes: tuple[int, ...],
-        requester_for: dict[int, int],
-        *,
-        on_done,
-        bandwidth_scale: float = 1.0,
-        deadline_s: float | None = None,
-    ) -> str:
-        """Rebuild several lost chunks of one stripe without blocking.
-
-        The non-blocking sibling of :meth:`repair_multi`: each lost
-        chunk's plan is carved out of ``bandwidth_scale`` (the 1/m split
-        happens *inside* the share) and dispatched onto the running event
-        queue.  When every chunk assembles — or ``deadline_s`` elapses
-        first — ``on_done(outcomes)`` fires with a per-failed-node
-        :class:`RepairOutcome` dict; chunks that missed the deadline come
-        back ``failed`` with a ``failure_reason`` instead of raising, so
-        an orchestrator can re-queue them.
+        Adds the chunk to a storing job's lost set (escalation), or moves
+        it off a spare requester that died with its bytes.  False when
+        no live node outside the placement is left: the job is failed.
         """
-        failed_nodes = tuple(failed_nodes)
-        plans = self._plan_multi(
-            stripe_id, failed_nodes, requester_for,
-            bandwidth_scale=bandwidth_scale,
+        loc = self.master.stripe(job.stripe_id)
+        used = {c.requester for c in job.chunks.values()}
+        requester = next(
+            (
+                r
+                for r in range(self.num_nodes)
+                if self._alive[r]
+                and r not in loc.placement
+                and r not in used
+                and not self.master.is_node_dead(r)
+            ),
+            None,
         )
-        self._async_seq += 1
-        group = f"@m{self._async_seq}"
-        loc = self.master.stripe(stripe_id)
-        rids = {f: f"{stripe_id}/n{f}{group}" for f in failed_nodes}
-        starts = {f: self.events.now for f in failed_nodes}
-        remaining = set(failed_nodes)
-        outcomes: dict[int, RepairOutcome] = {}
-        deadline_timer: list = [None]
-
-        def settle_chunk(f: int, asm: _Assembly) -> None:
-            lost = loc.chunk_on(f)
-            store_ok, quarantined, detected = self._audit_multi_chunk(
-                stripe_id, lost, asm.buffer
+        if requester is None:
+            job.failure_reason = (
+                f"{reason}; no spare requester for chunk on node {node}"
             )
-            if not store_ok:
-                outcomes[f] = RepairOutcome(
-                    plan=plans[f],
-                    rebuilt=None,
-                    elapsed_seconds=asm.last_arrival - starts[f],
-                    bytes_received=asm.received,
-                    verified=False,
-                    status=FAILED,
-                    failure_reason="rebuilt chunk failed integrity verification",
-                    corruption_detected=True,
-                    quarantined_chunks=quarantined,
-                )
-            else:
-                self.nodes[requester_for[f]].store.put(
-                    stripe_id, lost, asm.buffer
-                )
-                self.master.relocate_chunk(stripe_id, lost, requester_for[f])
-                fstore = self.nodes[f].store
-                verified = fstore.has(stripe_id, lost) and bool(
-                    np.array_equal(asm.buffer, fstore.get(stripe_id, lost))
-                )
-                if not verified and not (
-                    fstore.has(stripe_id, lost)
-                    and fstore.verify(stripe_id, lost)
-                ):
-                    verified = store_ok
-                outcomes[f] = RepairOutcome(
-                    plan=plans[f],
-                    rebuilt=asm.buffer,
-                    elapsed_seconds=asm.last_arrival - starts[f],
-                    bytes_received=asm.received,
-                    verified=verified,
-                    corruption_detected=detected,
-                    quarantined_chunks=quarantined,
-                )
-            self._pop_assembly(asm.repair_id)
-            self._retired.add(asm.wire_id)
-            remaining.discard(f)
-            if not remaining:
-                if deadline_timer[0] is not None:
-                    self.events.cancel(deadline_timer[0])
-                on_done(dict(outcomes))
-
-        def on_deadline() -> None:
-            deadline_timer[0] = None
-            if not remaining:
-                return
-            for f in sorted(remaining):
-                rid = rids[f]
-                asm = self._assemblies.get(rid)
-                if asm is None:
-                    continue
-                asm.on_done = None
-                for node in self.nodes:
-                    node.cancel_repair(rid)
-                self._retired.add(rid)
-                popped = self._pop_assembly(rid)
-                outcomes[f] = RepairOutcome(
-                    plan=plans[f],
-                    rebuilt=None,
-                    elapsed_seconds=self.events.now - starts[f],
-                    bytes_received=popped.received,
-                    verified=False,
-                    status=FAILED,
-                    failure_reason=(
-                        f"multi-chunk repair missed its "
-                        f"{deadline_s:g}s deadline"
-                    ),
-                )
-            remaining.clear()
-            on_done(dict(outcomes))
-
-        for f in failed_nodes:
-            self._dispatch_plan(
-                plans[f], stripe_id, f, requester_for[f], repair_id=rids[f]
+            self._finish_job(job, retire=True)
+            return False
+        chunk = job.chunks.get(node)
+        if chunk is not None:
+            job.bytes_retransferred += chunk.restart()
+            chunk.requester = requester
+            return True
+        chunk = self._new_chunk(job.stripe_id, loc, node, requester, job.tag)
+        chunk.spare = True
+        job.chunks[node] = chunk
+        job.escalated = True
+        job.first_plan = None  # planned without the new chunk
+        # rebuilding the extra chunk is not a failed attempt
+        job.max_attempts += 1
+        if self.tracer.enabled:
+            self.tracer.event(
+                job.span, "repair.escalate",
+                node=node, requester=requester, reason=reason,
             )
-            asm = self._assemblies[rids[f]]
-            asm.failed_node = f
-            asm.start_time = starts[f]
-            asm.bandwidth_scale = bandwidth_scale
-            asm.on_done = lambda a, ff=f: settle_chunk(ff, a)
-        if deadline_s is not None:
-            deadline_timer[0] = self.events.schedule(deadline_s, on_deadline)
-        return group
+        log.debug(
+            "%s: chunk on node %d lost (%s); rebuilding it at node %d",
+            job.repair_id, node, reason, requester,
+        )
+        return True
 
-    # ---- self-healing attempt state machine --------------------------- #
-
-    def _start_attempt(self, asm: _Assembly) -> None:
+    def _start_attempt(self, job: RepairJob) -> None:
         """Plan and dispatch one attempt over the unfinished remainder."""
-        if asm.complete or asm.failed or asm.escalate:
+        if job.settled:
             return
-        loc = self.master.stripe(asm.stripe_id)
+        loc = self.master.stripe(job.stripe_id)
         # dispatch-time liveness probe: the master checks the placement
-        # (and the requester) before planning, so crashed nodes are
+        # (and the requesters) before planning, so crashed nodes are
         # declared dead without waiting for a lease to expire
-        for n in (*loc.placement, asm.requester):
+        for n in (*loc.placement, *(c.requester for c in job.chunks.values())):
             if not self._alive[n] and not self.master.is_node_dead(n):
                 self.master.mark_node_dead(n)
-        lost = [n for n in loc.placement if not self._alive[n]]
-        participants = asm.plan_participants()
-        if any(
-            n != asm.failed_node and n not in participants for n in lost
-        ):
-            # a chunk the current plan was not even using is gone too —
-            # single-chunk recovery cannot restore the stripe; escalate
-            asm.escalate = True
-            if self.tracer.enabled:
-                self.tracer.event(
-                    asm.span,
-                    "repair.escalate",
-                    reason="uninvolved chunk lost before attempt",
-                )
-            self._finish_assembly(asm, retire=True)
-            return
+        if job.store:
+            participants = job.participants()
+            for n in loc.placement:
+                if (
+                    not self._alive[n]
+                    and n not in job.chunks
+                    and n not in participants
+                    and not self._assign_spare(
+                        job, n, "uninvolved chunk lost before attempt"
+                    )
+                ):
+                    return
+            for chunk in list(job.chunks.values()):
+                # the job picked this requester, so it may re-pick
+                if (
+                    chunk.spare
+                    and not self._alive[chunk.requester]
+                    and not self._assign_spare(
+                        job, chunk.failed_node,
+                        f"requester {chunk.requester} died",
+                    )
+                ):
+                    return
         newly_dead = tuple(
             n
-            for n in asm.plan_participants()
+            for n in job.participants()
             if not self._alive[n] or self.master.is_node_dead(n)
         )
-        asm.attempt += 1
-        if asm.attempt > 1:
-            asm.replans += 1
+        job.attempt += 1
+        if job.attempt > 1:
+            job.replans += 1
         tracer = self.tracer
         if tracer.enabled:
-            asm.attempt_span = tracer.start_span(
-                f"attempt {asm.attempt}",
+            job.attempt_span = tracer.start_span(
+                f"attempt {job.attempt}",
                 kind="attempt",
-                parent=asm.span,
-                n=asm.attempt,
-                repair_id=asm.repair_id,
+                parent=job.span,
+                n=job.attempt,
+                repair_id=job.repair_id,
             )
-            if asm.attempt > 1:
+            if job.attempt > 1:
                 tracer.event(
-                    asm.attempt_span,
+                    job.attempt_span,
                     "replan",
-                    attempt=asm.attempt,
+                    attempt=job.attempt,
                     newly_dead=list(newly_dead),
                 )
         log.debug(
             "%s: attempt %d (newly dead: %s)",
-            asm.repair_id, asm.attempt, list(newly_dead),
+            job.repair_id, job.attempt, list(newly_dead),
         )
+        todo = [c for c in job.chunks.values() if not c.complete]
         try:
-            plan = self.master.schedule_repair(
-                asm.stripe_id,
-                asm.failed_node,
-                asm.requester,
-                prev_plan=asm.plan,
-                newly_dead=newly_dead,
-                bandwidth_scale=asm.bandwidth_scale,
-            )
+            if job.first_plan is not None:
+                plans, job.first_plan = job.first_plan, None
+            elif len(todo) == 1:
+                (chunk,) = todo
+                plans = {
+                    chunk.failed_node: self.master.schedule_repair(
+                        job.stripe_id,
+                        chunk.failed_node,
+                        chunk.requester,
+                        prev_plan=chunk.plan,
+                        newly_dead=newly_dead,
+                        bandwidth_scale=job.bandwidth_scale,
+                    )
+                }
+            else:
+                plans = self._plan_multi(
+                    job.stripe_id,
+                    tuple(c.failed_node for c in todo),
+                    {c.failed_node: c.requester for c in todo},
+                    bandwidth_scale=job.bandwidth_scale,
+                )
         except (ValueError, RuntimeError) as exc:
-            asm.failure_reason = f"planning failed: {exc}"
-            log.debug("%s: planning failed: %s", asm.repair_id, exc)
+            job.failure_reason = f"planning failed: {exc}"
+            log.debug("%s: planning failed: %s", job.repair_id, exc)
             if tracer.enabled:
-                tracer.event(asm.attempt_span, "planning.failed", error=str(exc))
-            self._finish_assembly(asm, retire=True)
+                tracer.event(job.attempt_span, "planning.failed", error=str(exc))
+            self._finish_job(job, retire=True)
             return
-        asm.plan = plan
-        if "recovery" in plan.meta:
-            asm.degraded = True  # a ladder rung (promotion / star) was used
-        remainder = uncovered_intervals(asm.chunk_bytes, asm.completed)
-        remaining = sum(b - a for a, b in remainder)
-        wire = (
-            asm.repair_id
-            if asm.attempt == 1
-            else f"{asm.repair_id}#a{asm.attempt}"
-        )
-        asm.wire_id = wire
-        self._wire_assembly[wire] = asm
-        lost_chunk = loc.chunk_on(asm.failed_node)
-        windows = max(1, -(-remaining // self.slice_bytes))
-        tasks = self.master.compile_tasks(
-            plan,
-            asm.stripe_id,
-            lost_chunk,
-            chunk_bytes=asm.chunk_bytes,
-            num_slices=windows,
-            repair_id=wire,
-            intervals=remainder,
-        )
-        asm.expected = {}
-        asm.outstanding = {}
-        asm.slice_arrivals = {}
-        for task in tasks:
-            if task.destination == asm.requester:
-                src = loc.node_of(task.chunk_index)
-                asm.expected.setdefault(task.pipeline_id, set()).add(src)
-                asm.outstanding[task.pipeline_id] = task.stop - task.start
+        suffix = "" if job.attempt == 1 else f"#a{job.attempt}"
+        job.wire_id = job.repair_id + suffix
+        dispatch: list[tuple[TransferTask, int]] = []
+        remaining = 0
+        for chunk in todo:
+            plan = chunk.plan = plans[chunk.failed_node]
+            if "recovery" in plan.meta:
+                job.degraded = True  # a ladder rung (promotion / star) was used
+            remainder = uncovered_intervals(chunk.chunk_bytes, chunk.completed)
+            left = sum(b - a for a, b in remainder)
+            remaining += left
+            wire = chunk.wire_id = chunk.repair_id + suffix
+            self._retired.discard(wire)  # a sync repair id may be reused
+            self._wire_job[wire] = (job, chunk)
+            tasks = self.master.compile_tasks(
+                plan,
+                job.stripe_id,
+                chunk.lost_chunk,
+                chunk_bytes=chunk.chunk_bytes,
+                num_slices=max(1, -(-left // self.slice_bytes)),
+                repair_id=wire,
+                intervals=remainder,
+            )
+            chunk.clear_attempt()
+            for task in tasks:
+                if task.destination == chunk.requester:
+                    src = loc.node_of(task.chunk_index)
+                    chunk.expected.setdefault(task.pipeline_id, set()).add(src)
+                    chunk.outstanding[task.pipeline_id] = task.stop - task.start
+            if tracer.enabled:
+                rate_by_pid = _pipeline_rates(tasks)
+                for pid, nbytes in chunk.outstanding.items():
+                    self._pipeline_spans[(wire, pid)] = tracer.start_span(
+                        f"pipeline {pid}",
+                        kind="pipeline",
+                        parent=job.attempt_span,
+                        pipeline=pid,
+                        bytes=nbytes,
+                        wire=wire,
+                        rate_mbps=rate_by_pid.get(pid, 0.0),
+                    )
+            dispatch.extend((t, loc.node_of(t.chunk_index)) for t in tasks)
         if tracer.enabled:
             tracer.set_attrs(
-                asm.attempt_span,
-                wire=wire,
+                job.attempt_span,
+                wire=job.wire_id,
                 remaining_bytes=remaining,
-                pipelines=len(asm.outstanding),
-                rung=plan.meta.get("recovery", "none"),
-                t_max_mbps=float(plan.total_rate),
+                pipelines=sum(len(c.outstanding) for c in todo),
+                rung=todo[0].plan.meta.get("recovery", "none"),
+                t_max_mbps=float(sum(c.plan.total_rate for c in todo)),
             )
-            rate_by_pid = _pipeline_rates(tasks)
-            for pid, nbytes in asm.outstanding.items():
-                self._pipeline_spans[(wire, pid)] = tracer.start_span(
-                    f"pipeline {pid}",
-                    kind="pipeline",
-                    parent=asm.attempt_span,
-                    pipeline=pid,
-                    bytes=nbytes,
-                    wire=wire,
-                    rate_mbps=rate_by_pid.get(pid, 0.0),
-                )
-        for task in tasks:
-            owner = loc.node_of(task.chunk_index)
+        for task, owner in dispatch:
             self.events.schedule(
                 self.dispatch_latency_s,
                 lambda t=task, o=owner: self._assign_if_alive(o, t),
             )
-        self._arm_timer(asm)
-        self._arm_detector(asm)
+        job.in_flight = True
+        self._arm_timer(job)
+        self._arm_detector(job)
         self._ensure_heartbeat()
 
-    def _arm_timer(self, asm: _Assembly) -> None:
+    def _cancel_timer(self, job: RepairJob) -> None:
+        if job.timer is not None:
+            self.events.cancel(job.timer)
+            job.timer = None
+
+    def _arm_timer(self, job: RepairJob) -> None:
         """(Re)arm the progress watchdog for the current attempt."""
-        if asm.timer is not None:
-            self.events.cancel(asm.timer)
-        timeout = asm.timeout_s
+        self._cancel_timer(job)
+        timeout = job.timeout_s
         if timeout is None:
-            # auto: 4x the expected remaining transfer time at plan rate
-            remaining = max(asm.chunk_bytes - asm.done_bytes, 1)
-            rate = asm.plan.total_rate if asm.plan is not None else 0.0
-            timeout = max(
-                0.05, 4.0 * units.transfer_seconds(remaining, max(rate, 1.0))
+            # auto: 4x the slowest chunk's remaining time at plan rate
+            slowest = max(
+                units.transfer_seconds(
+                    max(c.chunk_bytes - c.done_bytes, 1),
+                    max(c.plan.total_rate if c.plan is not None else 0.0, 1.0),
+                )
+                for c in job.chunks.values()
             )
-        timeout *= 2**asm.retries  # back off after every aborted attempt
-        asm.armed_timeout = timeout
-        asm.timer_mark = asm.received
-        asm.timer = self.events.schedule(
-            timeout, lambda a=asm: self._on_timeout(a)
+            timeout = max(0.05, 4.0 * slowest)
+        timeout *= 2**job.retries  # back off after every aborted attempt
+        job.armed_timeout = timeout
+        job.timer_mark = job.received
+        job.timer = self.events.schedule(
+            timeout, lambda j=job: self._on_timeout(j)
         )
 
     #: throughput samples taken per armed watchdog window — the sampler
     #: must out-resolve the timeout for early detection to mean anything
     DETECT_TICKS_PER_TIMEOUT = 16
 
-    def _arm_detector(self, asm: _Assembly) -> None:
+    def _arm_detector(self, job: RepairJob) -> None:
         """Start the divergence sampler for the current attempt.
 
         Every tick scores the realised throughput of the attempt's wire
-        epoch (bytes folded since the last tick, over the plan's
+        epoch (bytes folded since the last tick, over the plans'
         ``t_max``) with the monitor's ``repair.throughput_ratio``
         detector, and feeds each participant's uplink busy fraction to
         ``node.busy_fraction``.  A throughput alarm aborts the attempt
         immediately — the blunt timeout stays armed as the fallback for
         faults the detector cannot see (e.g. a crash during warmup).
         """
-        if self.divergence is None or not asm.watchdog:
+        if self.divergence is None:
             return
-        if asm.detect_timer is not None:
-            self.events.cancel(asm.detect_timer)
-        asm.detect_period_s = asm.armed_timeout / self.DETECT_TICKS_PER_TIMEOUT
-        asm.detect_mark = asm.received
-        asm.detect_mark_t = self.events.now
-        if asm.plan is not None:
-            asm.detect_busy = {
-                n: self.nodes[n].uplink_busy_s
-                for n in asm.plan_participants()
-            }
-        wire = asm.wire_id
-        asm.detect_timer = self.events.schedule(
-            asm.detect_period_s, lambda a=asm, w=wire: self._detect_tick(a, w)
+        if job.detect_timer is not None:
+            self.events.cancel(job.detect_timer)
+        job.detect_period_s = job.armed_timeout / self.DETECT_TICKS_PER_TIMEOUT
+        job.detect_mark = job.received
+        job.detect_mark_t = self.events.now
+        job.detect_busy = {
+            n: self.nodes[n].uplink_busy_s for n in job.participants()
+        }
+        self._schedule_tick(job, job.wire_id)
+
+    def _schedule_tick(self, job: RepairJob, wire: str) -> None:
+        job.detect_timer = self.events.schedule(
+            job.detect_period_s, lambda j=job, w=wire: self._detect_tick(j, w)
         )
 
-    def _disarm_detector(self, asm: _Assembly) -> None:
-        if asm.detect_timer is not None:
-            self.events.cancel(asm.detect_timer)
-            asm.detect_timer = None
-        if self.divergence is not None and asm.wire_id:
+    def _disarm_detector(self, job: RepairJob) -> None:
+        if job.detect_timer is not None:
+            self.events.cancel(job.detect_timer)
+            job.detect_timer = None
+        if self.divergence is not None and job.wire_id:
             # drop the per-wire detector so a recycled epoch re-learns
-            self.divergence.discard("repair.throughput_ratio", asm.wire_id)
+            self.divergence.discard("repair.throughput_ratio", job.wire_id)
 
-    def _detect_tick(self, asm: _Assembly, wire: str) -> None:
-        asm.detect_timer = None
-        if asm.complete or asm.failed or asm.escalate:
+    def _detect_tick(self, job: RepairJob, wire: str) -> None:
+        job.detect_timer = None
+        if job.settled or job.complete:
             return
         monitor = self.divergence
-        if monitor is None:
-            return
-        if wire != asm.wire_id or wire in self._retired:
+        if wire != job.wire_id or wire in self._retired:
             # the timeout fallback (or a re-plan) already retired this
             # attempt epoch: the detector declines rather than double-
             # aborting, and says so in the trace (satellite: the chaos
@@ -1742,22 +1543,22 @@ class ClusterSystem:
                 "repair.throughput_ratio",
                 "timeout fallback owns attempt epoch",
                 key=wire,
-                attempt=asm.attempt,
+                attempt=job.attempt,
             )
             monitor.discard("repair.throughput_ratio", wire)
             return
         now = self.events.now
-        dt = now - asm.detect_mark_t
+        dt = now - job.detect_mark_t
         if dt <= 0:
-            asm.detect_timer = self.events.schedule(
-                asm.detect_period_s,
-                lambda a=asm, w=wire: self._detect_tick(a, w),
-            )
+            self._schedule_tick(job, wire)
             return
-        plan_rate = float(asm.plan.total_rate) if asm.plan is not None else 0.0
-        realised = units.bytes_per_s_to_mbps((asm.received - asm.detect_mark) / dt)
+        plan_rate = float(
+            sum(c.plan.total_rate for c in job.chunks.values()
+                if c.plan is not None and not c.complete)
+        )
+        realised = units.bytes_per_s_to_mbps((job.received - job.detect_mark) / dt)
         ratio = realised / plan_rate if plan_rate > 0 else 0.0
-        for node, before in asm.detect_busy.items():
+        for node, before in job.detect_busy.items():
             busy = self.nodes[node].uplink_busy_s
             monitor.feed(
                 "node.busy_fraction",
@@ -1765,21 +1566,15 @@ class ClusterSystem:
                 min(1.0, max(0.0, (busy - before) / dt)),
                 key=str(node),
             )
-            asm.detect_busy[node] = busy
-        asm.detect_mark = asm.received
-        asm.detect_mark_t = now
+            job.detect_busy[node] = busy
+        job.detect_mark = job.received
+        job.detect_mark_t = now
         alarm = monitor.feed("repair.throughput_ratio", now, ratio, key=wire)
         if alarm is None:
-            asm.detect_timer = self.events.schedule(
-                asm.detect_period_s,
-                lambda a=asm, w=wire: self._detect_tick(a, w),
-            )
+            self._schedule_tick(job, wire)
             return
         # divergence confirmed while the timeout is still ticking: abort
         # the attempt now instead of burning the rest of the window
-        if asm.timer is not None:
-            self.events.cancel(asm.timer)
-            asm.timer = None
         if self.metrics.enabled:
             self.metrics.counter(
                 "repro_detect_early_aborts_total",
@@ -1788,31 +1583,31 @@ class ClusterSystem:
             ).inc()
         if self.tracer.enabled:
             self.tracer.event(
-                asm.attempt_span or asm.span,
+                job.attempt_span or job.span,
                 "detect.abort",
-                attempt=asm.attempt,
+                attempt=job.attempt,
                 ratio=ratio,
                 detector=alarm.detector,
                 stat=alarm.stat,
-                timeout_s=asm.armed_timeout,
+                timeout_s=job.armed_timeout,
             )
         log.debug(
             "%s: divergence detector fired on attempt %d "
             "(ratio %.3g, stat %.3g)",
-            asm.repair_id, asm.attempt, ratio, alarm.stat,
+            job.repair_id, job.attempt, ratio, alarm.stat,
         )
         self._abort_attempt(
-            asm,
+            job,
             f"throughput diverged from plan (ratio {ratio:.3g}, "
-            f"attempt {asm.attempt})",
+            f"attempt {job.attempt})",
         )
 
-    def _on_timeout(self, asm: _Assembly) -> None:
-        asm.timer = None
-        if asm.complete or asm.failed or asm.escalate:
+    def _on_timeout(self, job: RepairJob) -> None:
+        job.timer = None
+        if job.settled or job.complete:
             return
-        if asm.received > asm.timer_mark:
-            self._arm_timer(asm)  # progress since the last check: keep watching
+        if job.received > job.timer_mark:
+            self._arm_timer(job)  # progress since the last check: keep watching
             return
         if self.metrics.enabled:
             self.metrics.counter(
@@ -1821,65 +1616,89 @@ class ClusterSystem:
             ).inc()
         if self.tracer.enabled:
             self.tracer.event(
-                asm.attempt_span or asm.span,
+                job.attempt_span or job.span,
                 "watchdog.fire",
-                attempt=asm.attempt,
-                timeout_s=asm.armed_timeout,
-                received=asm.received,
+                attempt=job.attempt,
+                timeout_s=job.armed_timeout,
+                received=job.received,
             )
         log.debug(
             "%s: watchdog fired on attempt %d (timeout %.4gs)",
-            asm.repair_id, asm.attempt, asm.armed_timeout,
+            job.repair_id, job.attempt, job.armed_timeout,
         )
         self._abort_attempt(
-            asm,
-            f"no progress within {asm.armed_timeout:.4g}s "
-            f"(attempt {asm.attempt})",
+            job,
+            f"no progress within {job.armed_timeout:.4g}s "
+            f"(attempt {job.attempt})",
         )
 
-    def _abort_attempt(self, asm: _Assembly, reason: str) -> None:
-        """Tear down a stalled attempt and schedule the next one."""
-        asm.retries += 1
-        self._disarm_detector(asm)
-        self._retire_attempt(asm)
-        if self.tracer.enabled and asm.attempt_span:
-            self.tracer.event(asm.attempt_span, "attempt.abort", reason=reason)
-        self._end_attempt_span(asm, aborted=True)
-        log.debug("%s: attempt %d aborted: %s", asm.repair_id, asm.attempt, reason)
+    def _on_deadline(self, job: RepairJob) -> None:
+        job.deadline_timer = None
+        if job.settled:
+            return
+        job.failure_reason = (
+            f"multi-chunk repair missed its {job.deadline_s:g}s deadline"
+        )
+        self._finish_job(job, retire=True)
+
+    def _abort_attempt(
+        self, job: RepairJob, reason: str, *, retry: bool = True
+    ) -> None:
+        """Tear down the current attempt and schedule the next one.
+
+        ``retry=False`` re-plans at once without charging the attempt
+        as a failure (an escalation widened the lost set).
+        """
+        if retry:
+            job.retries += 1
+        self._cancel_timer(job)
+        self._disarm_detector(job)
+        self._retire_attempt(job)
+        if self.tracer.enabled and job.attempt_span:
+            self.tracer.event(job.attempt_span, "attempt.abort", reason=reason)
+        self._end_attempt_span(job, aborted=True)
+        log.debug("%s: attempt %d aborted: %s", job.repair_id, job.attempt, reason)
         # scrub slices that only partially arrived — their XOR state is
         # useless without the missing contributions, and a stale late
         # slice must never fold into the next attempt's bytes
-        for pid, ranges in asm.slice_arrivals.items():
-            want = asm.expected.get(pid, set())
-            for (lo, hi), got in ranges.items():
-                if got and got != want:
-                    asm.bytes_retransferred += (hi - lo) * len(got)
-                    asm.buffer[lo:hi] = 0
-        asm.expected = {}
-        asm.outstanding = {}
-        asm.slice_arrivals = {}
-        if asm.attempt >= asm.max_attempts:
-            asm.failure_reason = f"{reason}; {asm.attempt} attempts exhausted"
-            self._finish_assembly(asm, retire=False)
+        for chunk in job.chunks.values():
+            for pid, ranges in chunk.slice_arrivals.items():
+                want = chunk.expected.get(pid, set())
+                for (lo, hi), got in ranges.items():
+                    if got and got != want:
+                        job.bytes_retransferred += (hi - lo) * len(got)
+                        chunk.buffer[lo:hi] = 0
+            chunk.clear_attempt()
+        if not retry:
+            self.events.schedule(0.0, lambda j=job: self._start_attempt(j))
             return
-        delay = asm.backoff_base_s * (2 ** (asm.attempt - 1))
-        self.events.schedule(delay, lambda a=asm: self._start_attempt(a))
-
-    def _retire_attempt(self, asm: _Assembly) -> None:
-        """Retire the attempt's wire id: nodes stop sending, in-flight
-        slices of the old epoch are dropped on delivery."""
-        if not asm.wire_id:
+        if job.attempt >= job.max_attempts:
+            job.failure_reason = f"{reason}; {job.attempt} attempts exhausted"
+            self._finish_job(job, retire=False)
             return
-        self._retired.add(asm.wire_id)
-        self._wire_assembly.pop(asm.wire_id, None)
-        for node in self.nodes:
-            node.cancel_repair(asm.wire_id)
-        self._close_pipeline_spans(asm.wire_id, aborted=True)
+        delay = job.backoff_base_s * (2 ** (job.attempt - 1))
+        self.events.schedule(delay, lambda j=job: self._start_attempt(j))
 
-    def _end_attempt_span(self, asm: _Assembly, **attrs) -> None:
-        if asm.attempt_span:
-            self.tracer.end_span(asm.attempt_span, **attrs)
-        asm.attempt_span = None
+    def _retire_attempt(self, job: RepairJob, *, abort: bool = True) -> None:
+        """Retire the job's wire ids: in-flight slices of the epoch are
+        dropped on delivery and, on ``abort``, nodes stop sending."""
+        job.in_flight = False
+        self._retired.add(job.wire_id or job.repair_id)
+        for chunk in job.chunks.values():
+            wire = chunk.wire_id or chunk.repair_id
+            self._retired.add(wire)
+            self._wire_job.pop(wire, None)
+            if abort:
+                for node in self.nodes:
+                    node.cancel_repair(wire)
+                self._close_pipeline_spans(wire, aborted=True)
+            else:
+                self._close_pipeline_spans(wire)
+
+    def _end_attempt_span(self, job: RepairJob, **attrs) -> None:
+        if job.attempt_span:
+            self.tracer.end_span(job.attempt_span, **attrs)
+        job.attempt_span = None
 
     def _close_pipeline_spans(self, wire_id: str, **attrs) -> None:
         """End any still-open pipeline spans belonging to a wire epoch."""
@@ -1888,126 +1707,105 @@ class ClusterSystem:
         for key in [k for k in self._pipeline_spans if k[0] == wire_id]:
             self.tracer.end_span(self._pipeline_spans.pop(key), **attrs)
 
-    def _finish_assembly(self, asm: _Assembly, *, retire: bool) -> None:
-        """Terminal bookkeeping: stop the watchdog (and maybe the wire)."""
-        if (
-            asm.watchdog
-            and asm.complete
-            and not asm.failed
-            and not asm.escalate
-            and asm.integrity_attempt != asm.attempt
-        ):
-            # verify the rebuilt bytes before declaring success; a
-            # poisoned buffer quarantines its culprit and re-repairs
-            asm.integrity_attempt = asm.attempt
-            if not self._verify_completed(asm):
-                return  # a fresh attempt is scheduled; not terminal yet
-        if asm.timer is not None:
-            self.events.cancel(asm.timer)
-            asm.timer = None
-        self._disarm_detector(asm)
-        if retire:
-            self._retire_attempt(asm)
-        self._end_attempt_span(asm)
-        if asm.on_done is not None:
-            # non-blocking dispatch: the terminal callback fires exactly
-            # once, from inside the event-queue run that finished us
-            callback, asm.on_done = asm.on_done, None
-            callback(asm)
+    def _finish_job(self, job: RepairJob, *, retire: bool) -> None:
+        """Settle a job: verify, stop its timers, store and report every
+        chunk, and fire ``on_done``.  ``retire`` also stops the nodes
+        still streaming for it."""
+        if job.settled:
+            return
+        # verify the rebuilt bytes before declaring success; a poisoned
+        # chunk quarantines its culprit and re-repairs
+        if job.complete and not job.failed and not self._verify_completed(job):
+            return  # a fresh attempt is scheduled; not terminal yet
+        job.settled = True
+        self._cancel_timer(job)
+        self._disarm_detector(job)
+        if job.deadline_timer is not None:
+            self.events.cancel(job.deadline_timer)
+        # stale slices of this job's epochs may still be in flight and
+        # must keep being dropped silently
+        self._retire_attempt(job, abort=retire)
+        self._end_attempt_span(job)
+        self._jobs.pop(job.repair_id, None)
+        outcomes = {f: self._chunk_outcome(job, c) for f, c in job.chunks.items()}
+        self._finalize_repair_obs(job, outcomes[job.primary.failed_node])
+        job.on_done(outcomes)
 
-    def _drop_assembly(self, asm: _Assembly) -> None:
-        """Forget a finished repair's routing state (queue is drained)."""
-        self._assemblies.pop(asm.repair_id, None)
-        self._wire_assembly.pop(asm.wire_id, None)
-        self._wire_assembly.pop(asm.repair_id, None)
-        prefix = asm.repair_id + "#"
-        self._retired = {
-            r
-            for r in self._retired
-            if r != asm.repair_id and not r.startswith(prefix)
-        }
-        if self._pipeline_spans:
-            for key in [
-                k
-                for k in self._pipeline_spans
-                if k[0] == asm.repair_id or k[0].startswith(prefix)
-            ]:
-                self.tracer.end_span(self._pipeline_spans.pop(key))
-
-    def _finish_escalated(
-        self, asm: _Assembly, start_time: float, *, on_failure: str
-    ) -> RepairOutcome:
-        """Second chunk lost mid-repair: restart through repair_multi."""
-        loc = self.master.stripe(asm.stripe_id)
-        lost = tuple(n for n in loc.placement if not self._alive[n])
-        requester_for = {asm.failed_node: asm.requester}
-        used = {asm.requester}
-        fail_reason = None
-        for f in lost:
-            if f == asm.failed_node:
-                continue
-            cand = next(
-                (
-                    r
-                    for r in range(self.num_nodes)
-                    if self._alive[r]
-                    and r not in loc.placement
-                    and r not in used
-                    and not self.master.is_node_dead(r)
-                ),
-                None,
-            )
-            if cand is None:
-                fail_reason = f"no spare requester for chunk on node {f}"
-                break
-            requester_for[f] = cand
-            used.add(cand)
-        outcomes = None
-        if fail_reason is None:
-            try:
-                outcomes = self.repair_multi(asm.stripe_id, lost, requester_for)
-            except (ValueError, RuntimeError) as exc:
-                fail_reason = str(exc)
-        if outcomes is None:
-            reason = f"second chunk lost mid-repair; {fail_reason}"
-            if on_failure == "raise":
-                raise RuntimeError(
-                    f"repair of {asm.stripe_id} failed: {reason}"
-                )
-            return RepairOutcome(
-                plan=asm.plan,
-                rebuilt=None,
-                elapsed_seconds=self.events.now - start_time,
-                bytes_received=asm.received,
-                verified=False,
-                attempts=max(asm.attempt, 1),
-                status=FAILED,
-                retries=asm.retries,
-                replans=asm.replans,
-                bytes_retransferred=asm.bytes_retransferred,
-                failure_reason=reason,
-            )
-        ours = outcomes[asm.failed_node]
-        return RepairOutcome(
-            plan=ours.plan,
-            rebuilt=ours.rebuilt,
-            elapsed_seconds=self.events.now - start_time,
-            bytes_received=asm.received + ours.bytes_received,
-            verified=ours.verified,
-            attempts=max(asm.attempt, 1) + 1,
-            status=ESCALATED,
-            retries=asm.retries,
-            replans=asm.replans + len(lost),
-            bytes_retransferred=asm.bytes_retransferred + asm.received,
+    def _chunk_outcome(self, job: RepairJob, chunk: _ChunkRepair) -> RepairOutcome:
+        """Terminal outcome of one chunk of a settled job (persisting the
+        rebuilt bytes of a successful storing job)."""
+        ok = chunk.complete and not job.failed
+        if ok and job.store:
+            self._persist(job, chunk)
+        common = dict(
+            plan=chunk.plan,
+            bytes_received=chunk.received,
+            attempts=max(job.attempt, 1),
+            retries=job.retries,
+            replans=job.replans,
+            bytes_retransferred=job.bytes_retransferred,
+            corruption_detected=job.corruption_detected,
+            quarantined_chunks=tuple(sorted(job.quarantined)),
         )
+        if not ok:
+            return RepairOutcome(
+                rebuilt=None,
+                elapsed_seconds=self.events.now - job.start_time,
+                verified=False,
+                status=FAILED,
+                failure_reason=job.failure_reason or "repair did not complete",
+                **common,
+            )
+        failed_store = self.nodes[chunk.failed_node].store
+        verified = failed_store.has(job.stripe_id, chunk.lost_chunk) and bool(
+            np.array_equal(
+                chunk.buffer, failed_store.get(job.stripe_id, chunk.lost_chunk)
+            )
+        )
+        if not verified and chunk.integrity_ok is True:
+            # the "original" on the failed/quarantined node was itself
+            # rotten (or gone): parity verification over the clean
+            # stored chunks proved the rebuilt value correct
+            verified = True
+        if job.escalated:
+            status = ESCALATED
+        else:
+            status = DEGRADED if job.degraded else COMPLETED
+        return RepairOutcome(
+            rebuilt=chunk.buffer,
+            elapsed_seconds=chunk.last_arrival - job.start_time,
+            verified=verified,
+            status=status,
+            **common,
+        )
+
+    def _persist(self, job: RepairJob, chunk: _ChunkRepair) -> None:
+        """Store a rebuilt chunk at its requester and relocate it there."""
+        store = self.nodes[chunk.requester].store
+        store.put(job.stripe_id, chunk.lost_chunk, chunk.buffer)
+        if not store.verify(job.stripe_id, chunk.lost_chunk):
+            # a torn write garbled the persisted copy; the digest caught
+            # it on readback — rewrite from the in-memory buffer (the
+            # tear is one-shot)
+            job.corruption_detected = True
+            log.debug(
+                "%s: torn write caught on readback at node %d",
+                chunk.repair_id, chunk.requester,
+            )
+            if self.metrics.enabled:
+                self.metrics.counter(
+                    "repro_integrity_corruption_detected_total",
+                    "Silent-corruption detections, by detection path.",
+                    kind="torn-write",
+                ).inc()
+            if self.tracer.enabled:
+                self.tracer.event(
+                    job.span, "integrity.torn_write", node=chunk.requester
+                )
+            store.put(job.stripe_id, chunk.lost_chunk, chunk.buffer)
+        self.master.relocate_chunk(job.stripe_id, chunk.lost_chunk, chunk.requester)
 
     # ---- heartbeats ---------------------------------------------------- #
-
-    def _active_watchdogs(self) -> bool:
-        return any(
-            a.watchdog and not (a.complete or a.failed or a.escalate)
-            for a in self._assemblies.values()
-        )
 
     def _ensure_heartbeat(self) -> None:
         if not self._heartbeat_on or self._heartbeat_pending:
@@ -2039,7 +1837,7 @@ class ClusterSystem:
             else:
                 self._submit_report(report)
         self.master.check_leases(now)
-        if self._active_watchdogs():
+        if self._jobs:  # settled jobs leave the table
             self._ensure_heartbeat()
 
     def _submit_report(self, report: BandwidthReport) -> None:
@@ -2107,27 +1905,31 @@ class ClusterSystem:
                 kind=kind,
             ).inc()
         if self.tracer.enabled:
-            live_span = next(
-                (a.span for a in self._assemblies.values() if a.span), None
-            )
             attrs = {"kind": kind}
             node = getattr(fault, "node", None)
             if node is not None:
                 attrs["node"] = node
-            self.tracer.event(live_span, "fault.injected", **attrs)
+            self.tracer.event(self._live_span(), "fault.injected", **attrs)
+
+    def _live_span(self):
+        """The first unsettled job's repair span (parent of fault events)."""
+        return next((j.span for j in self._jobs.values() if j.span), None)
 
     def _finalize_repair_obs(
-        self,
-        asm: _Assembly,
-        outcome: RepairOutcome,
-        start_time: float,
-        busy_before: list | None,
+        self, job: RepairJob, outcome: RepairOutcome
     ) -> None:
         """Close the repair span and publish end-of-repair metrics."""
+        start_time, busy_before = job.start_time, job.busy_before
         elapsed = max(outcome.elapsed_seconds, 0.0)
-        if self.tracer.enabled and asm.span:
+        t_max = float(outcome.plan.total_rate) if outcome.plan else 0.0
+        achieved = (
+            job.primary.done_bytes / units.mbps_to_bytes_per_s(1.0) / elapsed
+            if outcome.plan is not None and elapsed > 0
+            else None
+        )
+        if self.tracer.enabled and job.span:
             self.tracer.set_attrs(
-                asm.span,
+                job.span,
                 status=outcome.status,
                 attempts=outcome.attempts,
                 retries=outcome.retries,
@@ -2138,9 +1940,9 @@ class ClusterSystem:
             )
             if outcome.failure_reason:
                 self.tracer.set_attrs(
-                    asm.span, failure_reason=outcome.failure_reason
+                    job.span, failure_reason=outcome.failure_reason
                 )
-            self.tracer.end_span(asm.span, t=start_time + elapsed)
+            self.tracer.end_span(job.span, t=start_time + elapsed)
         if self.fleet.enabled:
             now = self.events.now
             algo = self.master.algorithm.name
@@ -2152,11 +1954,7 @@ class ClusterSystem:
                 t=now,
                 algorithm=algo,
             )
-            if outcome.plan is not None and elapsed > 0:
-                t_max = float(outcome.plan.total_rate)
-                achieved = (
-                    asm.done_bytes / units.mbps_to_bytes_per_s(1.0) / elapsed
-                )
+            if achieved is not None:
                 f.observe("repro_achieved_mbps", achieved, t=now, algorithm=algo)
                 if t_max > 0:
                     f.observe(
@@ -2194,25 +1992,21 @@ class ClusterSystem:
             "Payload bytes folded into requester assembly buffers.",
         ).inc(outcome.bytes_received)
         if outcome.plan is not None:
-            t_max = float(outcome.plan.total_rate)
             m.gauge(
                 "repro_t_max_mbps",
                 "Planned repair throughput t_max of the last plan (Mbps).",
             ).set(t_max)
-            if elapsed > 0:
-                achieved = (
-                    asm.done_bytes / units.mbps_to_bytes_per_s(1.0) / elapsed
-                )
+        if achieved is not None:
+            m.gauge(
+                "repro_achieved_mbps",
+                "Decoded-chunk throughput actually achieved (Mbps).",
+            ).set(achieved)
+            if t_max > 0:
                 m.gauge(
-                    "repro_achieved_mbps",
-                    "Decoded-chunk throughput actually achieved (Mbps).",
-                ).set(achieved)
-                if t_max > 0:
-                    m.gauge(
-                        "repro_throughput_ratio",
-                        "Achieved throughput over the planner's t_max "
-                        "(1.0 = optimal, lower = overheads/faults).",
-                    ).set(achieved / t_max)
+                    "repro_throughput_ratio",
+                    "Achieved throughput over the planner's t_max "
+                    "(1.0 = optimal, lower = overheads/faults).",
+                ).set(achieved / t_max)
         m.gauge(
             "repro_event_queue_executed",
             "Simulation events executed so far.",
@@ -2238,102 +2032,11 @@ class ClusterSystem:
 
     # ---- internals ---------------------------------------------------- #
 
-    def _dispatch_plan(
-        self,
-        plan: RepairPlan,
-        stripe_id: str,
-        failed_node: int,
-        requester: int,
-        repair_id: str | None = None,
-    ) -> None:
-        repair_id = repair_id or f"{stripe_id}/n{failed_node}"
-        chunk_bytes = self._stripe_sizes[stripe_id]
-        loc = self.master.stripe(stripe_id)
-        lost_chunk = loc.chunk_on(failed_node)
-        windows = max(1, -(-chunk_bytes // self.slice_bytes))
-        tasks = self.master.compile_tasks(
-            plan, stripe_id, lost_chunk, chunk_bytes=chunk_bytes,
-            num_slices=windows, repair_id=repair_id,
-        )
-        self._begin_assembly(plan, tasks, chunk_bytes, requester, repair_id)
-        for task in tasks:
-            owner = loc.node_of(task.chunk_index)
-            self.events.schedule(
-                self.dispatch_latency_s,
-                lambda t=task, o=owner: self._assign_if_alive(o, t),
-            )
-
     def _assign_if_alive(self, node: int, task: TransferTask) -> None:
         # a same-batch assign may race an abort (e.g. a bad-chunk
         # quarantine at assign time): never execute tasks of a retired wire
         if self._alive[node] and (task.repair_id or task.stripe_id) not in self._retired:
             self.nodes[node].assign(task)
-
-    def _begin_assembly(
-        self,
-        plan: RepairPlan,
-        tasks: list[TransferTask],
-        chunk_bytes: int,
-        requester: int,
-        repair_id: str,
-    ) -> None:
-        expected: dict[int, set] = {}
-        outstanding: dict[int, int] = {}
-        stripe_id = tasks[0].stripe_id if tasks else ""
-        loc = self.master.stripe(stripe_id)
-        for task in tasks:
-            if task.destination == requester:
-                src = loc.node_of(task.chunk_index)
-                expected.setdefault(task.pipeline_id, set()).add(src)
-                outstanding[task.pipeline_id] = task.stop - task.start
-        asm = _Assembly(
-            stripe_id=stripe_id,
-            repair_id=repair_id,
-            requester=requester,
-            chunk_bytes=chunk_bytes,
-            expected=expected,
-            outstanding=outstanding,
-            buffer=np.zeros(chunk_bytes, dtype=np.uint8),
-            plan=plan,
-            wire_id=repair_id,
-            attempt=1,
-        )
-        if self.tracer.enabled:
-            asm.span = self.tracer.start_span(
-                f"repair {repair_id}",
-                kind="repair",
-                stripe=stripe_id,
-                requester=requester,
-                chunk_bytes=chunk_bytes,
-                algorithm=self.master.algorithm.name,
-                t_max_mbps=float(plan.total_rate),
-            )
-            rate_by_pid = _pipeline_rates(tasks)
-            for pid, nbytes in outstanding.items():
-                self._pipeline_spans[(repair_id, pid)] = self.tracer.start_span(
-                    f"pipeline {pid}",
-                    kind="pipeline",
-                    parent=asm.span,
-                    pipeline=pid,
-                    bytes=nbytes,
-                    wire=repair_id,
-                    rate_mbps=rate_by_pid.get(pid, 0.0),
-                )
-        self._assemblies[repair_id] = asm
-        self._wire_assembly[repair_id] = asm
-
-    def _pop_assembly(self, repair_id: str) -> _Assembly:
-        asm = self._assemblies.pop(repair_id)
-        self._wire_assembly.pop(asm.wire_id, None)
-        self._close_pipeline_spans(asm.wire_id)
-        if asm.span:
-            self.tracer.end_span(
-                asm.span,
-                status=COMPLETED if asm.complete else FAILED,
-                bytes_received=asm.received,
-            )
-            asm.span = None
-        return asm
 
     def _deliver(self, destination: int, data: SliceData) -> None:
         """Route a slice either to a data node or into requester assembly."""
@@ -2353,20 +2056,21 @@ class ClusterSystem:
         if key in node._tasks:
             node.receive(data)
             return
-        asm = self._wire_assembly.get(rid)
-        if asm is None:
+        routed = self._wire_job.get(rid)
+        if routed is None:
             if rid in self._retired:
                 return  # stale slice from an aborted attempt's epoch
             raise RuntimeError(
                 f"slice for {data.stripe_id} delivered to unexpected node "
                 f"{destination}"
             )
-        if asm.requester != destination:
+        job, chunk = routed
+        if chunk.requester != destination:
             raise RuntimeError(
                 f"slice for {data.stripe_id} delivered to unexpected node "
                 f"{destination}"
             )
-        sources = asm.expected.get(data.pipeline_id)
+        sources = chunk.expected.get(data.pipeline_id)
         if sources is None or data.source not in sources:
             raise RuntimeError(
                 f"unexpected slice from {data.source} for pipeline "
@@ -2380,7 +2084,7 @@ class ClusterSystem:
             # retransmit instead of folding a poisoned slice
             self._on_bad_slice(destination, data)
             return
-        arrivals = asm.slice_arrivals.setdefault(data.pipeline_id, {})
+        arrivals = chunk.slice_arrivals.setdefault(data.pipeline_id, {})
         got = arrivals.setdefault((data.start, data.stop), set())
         if data.source in got:
             raise RuntimeError(
@@ -2388,25 +2092,26 @@ class ClusterSystem:
                 f"{data.source} for pipeline {data.pipeline_id}"
             )
         got.add(data.source)
-        span = asm.buffer[data.start : data.stop]
+        span = chunk.buffer[data.start : data.stop]
         np.bitwise_xor(span, data.payload, out=span)
-        asm.received += len(data.payload)
+        chunk.received += len(data.payload)
+        job.received += len(data.payload)
         # the requester pays the final combine cost for this slice
-        asm.last_arrival = max(
-            asm.last_arrival,
+        chunk.last_arrival = max(
+            chunk.last_arrival,
             now + self.compute_s_per_byte * len(data.payload),
         )
         if got == sources:
             # every contribution folded in: this byte range is decoded
-            asm.completed.append((data.start, data.stop))
-            asm.done_bytes += data.stop - data.start
-            asm.outstanding[data.pipeline_id] -= data.stop - data.start
+            chunk.completed.append((data.start, data.stop))
+            chunk.done_bytes += data.stop - data.start
+            chunk.outstanding[data.pipeline_id] -= data.stop - data.start
             if (
                 self.tracer.enabled
-                and asm.outstanding[data.pipeline_id] <= 0
+                and chunk.outstanding[data.pipeline_id] <= 0
             ):
                 span = self._pipeline_spans.pop((rid, data.pipeline_id), None)
                 if span:
                     self.tracer.end_span(span)
-        if asm.complete:
-            self._finish_assembly(asm, retire=False)
+        if chunk.complete and job.complete:
+            self._finish_job(job, retire=False)

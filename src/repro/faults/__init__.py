@@ -29,8 +29,8 @@ COMPLETED = "completed"
 #: Repair terminated correct but on a fallback path (star repair, or with
 #: fewer/replacement helpers than first planned).
 DEGRADED = "degraded"
-#: A second chunk of the stripe was lost mid-repair; the repair finished
-#: through the multi-chunk path.
+#: A second chunk of the stripe was lost mid-repair; the same repair
+#: job rebuilt it alongside the first.
 ESCALATED = "escalated"
 #: Explicit failure verdict: the chunk could not be rebuilt (e.g. fewer
 #: than k live helpers), or corruption was detected that verification

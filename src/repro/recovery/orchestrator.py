@@ -35,9 +35,6 @@ from .queue import RepairQueue, RepairTicket
 
 logger = logging.getLogger(__name__)
 
-#: failure_reason marker for an escalation bounced back by repair_async
-_ESCALATED_MARK = "multi-chunk repair required"
-
 
 @dataclass(frozen=True)
 class RecoveryConfig:
@@ -68,10 +65,11 @@ class RecoveryConfig:
         :meth:`repro.cluster.system.ClusterSystem.repair`).
     multi_deadline_s:
         Deadline handed to multi-chunk dispatches; misses come back
-        ``failed`` and re-queue instead of wedging the loop.  Multi
-        repairs have no progress watchdog, so the deadline is the
-        liveness guarantee — a helper crash mid-repair would otherwise
-        leave the stripe in flight forever.
+        ``failed`` and re-queue instead of wedging the loop.  The
+        repair's own progress watchdog already re-plans around crashed
+        helpers; the deadline bounds how long a stripe stays in flight
+        (and is the only liveness bound of duck-typed systems without a
+        watchdog, such as the lifetime stripe table).
     """
 
     budget_fraction: float = 0.5
@@ -568,12 +566,7 @@ class RecoveryOrchestrator:
                     "Budget utilisation: granted share x occupancy.",
                 ).inc(record.share * (now - record.admitted_at))
         if status == FAILED:
-            escalated = reason is not None and _ESCALATED_MARK in reason
-            if escalated:
-                # exposure changed under us — not the ticket's fault, so
-                # the attempt does not count against its retry allowance
-                ticket.attempts -= 1
-            if escalated or ticket.attempts < self.config.max_item_attempts:
+            if ticket.attempts < self.config.max_item_attempts:
                 ticket.last_failure = reason
                 self.requeues += 1
                 self.queue.requeue(

@@ -138,11 +138,11 @@ class TestSuppression:
         system = _system(monitor, tracer=tracer)
 
         def stale_tick():
-            (asm,) = system._assemblies.values()
+            (job,) = system._jobs.values()
             # the epoch string the sampler captured no longer matches:
             # exactly what a tick scheduled before a timeout-driven
             # re-plan observes when it finally runs
-            system._detect_tick(asm, "w-stale")
+            system._detect_tick(job, "w-stale")
 
         system.events.schedule(0.001, stale_tick)
         outcome = system.repair(

@@ -166,6 +166,28 @@ class TestTrafficAccounting:
         assert sys_.traffic_bytes >= out.bytes_received > 0
 
 
+#: when the escalation cells crash their bystander (before any task of
+#: the first attempt is assigned, so none of them ever runs)
+ESCALATE_AT = 1e-4
+
+
+def on_escalated_dispatch(system, action):
+    """Run ``action`` once, as the escalated repair assigns its first task.
+
+    Returns the list the assignment time is appended to.
+    """
+    fired = []
+    for node in system.nodes:
+        def assign(task, inner=node.assign):
+            if not fired and system.events.now > ESCALATE_AT:
+                fired.append(system.events.now)
+                action()
+            inner(task)
+
+        node.assign = assign
+    return fired
+
+
 class TestEscalation:
     def test_second_chunk_loss_escalates_to_multi(self, snapshot):
         # conventional repair uses exactly k of the 8 surviving placement
@@ -187,6 +209,63 @@ class TestEscalation:
         assert out.status == ESCALATED
         assert out.verified
         assert out.replans >= 1
+
+    @pytest.fixture(scope="class")
+    def escalated(self, snapshot):
+        """A clean escalated RP repair: RP's chain uses k of the 8
+        survivors, so a bystander exists and the chain has relays."""
+        sys_, _ = fresh_repair_system(snapshot, algorithm="rp")
+        probe = sys_.master.schedule_repair(
+            "s1", FAILED_NODE, requester=REQUESTER
+        )
+        participants = {e.child for p in probe.pipelines for e in p.edges}
+        bystander = next(
+            n for n in sys_.master.stripe("s1").placement
+            if n != FAILED_NODE and n not in participants
+        )
+        dispatched = on_escalated_dispatch(sys_, lambda: None)
+        out = sys_.repair(
+            "s1", FAILED_NODE, requester=REQUESTER,
+            inject_failure=(bystander, ESCALATE_AT),
+        )
+        assert out.status == ESCALATED and out.verified
+        edges = [e for p in out.plan.pipelines for e in p.edges]
+        parents = {e.parent for e in edges}
+        return {
+            "bystander": bystander,
+            "hub": min(e.child for e in edges if e.child in parents),
+            "helper": min(e.child for e in edges if e.child not in parents),
+            # the spare node the escalation rebuilt the bystander's chunk on
+            "requester": sys_.master.stripe("s1").node_of(bystander),
+            # half-way through the escalated job's transfers
+            "delay": 0.5 * (out.elapsed_seconds - dispatched[0]),
+        }
+
+    @pytest.mark.parametrize("role", ["hub", "helper", "requester"])
+    def test_crash_during_escalated_repair(self, snapshot, escalated, role):
+        """Chaos cell: a second crash while the escalated job runs must
+        self-heal or fail with a reason naming the dead node."""
+        victim = escalated[role]
+        assert victim not in (REQUESTER, escalated["bystander"])
+        sys_, data = fresh_repair_system(snapshot, algorithm="rp")
+        on_escalated_dispatch(sys_, lambda: sys_.events.schedule(
+            escalated["delay"], lambda: sys_.fail_node(victim)
+        ))
+        out = sys_.repair(
+            "s1", FAILED_NODE, requester=REQUESTER, on_failure="outcome",
+            inject_failure=(escalated["bystander"], ESCALATE_AT),
+        )
+        assert not sys_.is_alive(victim)
+        if out.status == FAILED:
+            assert "stalled" not in out.failure_reason
+            assert str(victim) in out.failure_reason
+        else:
+            assert out.status == ESCALATED and out.verified
+            assert np.array_equal(out.rebuilt, data[FAILED_NODE])
+            # both rebuilt chunks were persisted byte-exact
+            stripe = RSCode(9, 6).encode(data)
+            for idx in (FAILED_NODE, escalated["bystander"]):
+                assert np.array_equal(sys_.read_chunk("s1", idx), stripe[idx])
 
     def test_participant_crash_does_not_escalate(self, snapshot, clean):
         sys_, _ = fresh_repair_system(snapshot)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import ClusterSystem
 from repro.ec import RSCode
+from repro.faults import ESCALATED
 from repro.workloads import make_trace
 
 
@@ -98,3 +99,61 @@ class TestRepairMulti:
         sys_.repair_multi("s1", (2, 6), {2: 12, 6: 13})
         assert sys_.nodes[12].store.has("s1", 2)
         assert sys_.nodes[13].store.has("s1", 6)
+
+
+class TestMultiSelfHeal:
+    """A helper crash mid-way through a multi-chunk repair re-plans the
+    remainder under the watchdog instead of stalling or idling out a
+    deadline; (9,6) with three chunks lost is still decodable."""
+
+    @pytest.fixture
+    def crash_at(self, snapshot):
+        sys_, _ = build()
+        sys_.set_bandwidth(snapshot)
+        sys_.fail_node(1)
+        sys_.fail_node(4)
+        clean = sys_.repair_multi("s1", (1, 4), {1: 10, 4: 11})
+        return 0.5 * max(o.elapsed_seconds for o in clean.values())
+
+    def crashed(self, snapshot, crash_at):
+        sys_, data = build()
+        sys_.set_bandwidth(snapshot)
+        sys_.fail_node(1)
+        sys_.fail_node(4)
+        sys_.events.schedule(crash_at, lambda: sys_.fail_node(0))
+        return sys_, data
+
+    def test_sync_repair_heals_helper_crash(self, snapshot, crash_at):
+        sys_, data = self.crashed(snapshot, crash_at)
+        outs = sys_.repair_multi("s1", (1, 4), {1: 10, 4: 11})
+        for f in (1, 4):
+            assert outs[f].verified
+            assert np.array_equal(outs[f].rebuilt, data[f])
+            assert np.array_equal(sys_.read_chunk("s1", f), data[f])
+
+    def test_async_repair_heals_before_deadline(self, snapshot, crash_at):
+        sys_, data = self.crashed(snapshot, crash_at)
+        settled = []
+        sys_.repair_multi_async(
+            "s1", (1, 4), {1: 10, 4: 11}, deadline_s=30.0,
+            on_done=lambda outs: settled.append((sys_.events.now, outs)),
+        )
+        sys_.events.run()
+        ((t, outs),) = settled
+        assert t < 1.0
+        for f in (1, 4):
+            assert outs[f].verified
+            assert np.array_equal(outs[f].rebuilt, data[f])
+
+    def test_node_repair_escalates_other_lost_chunk(self, snapshot):
+        """A batch plan made for one lost chunk is dropped when the
+        stripe has lost another: the job rebuilds both."""
+        sys_, data = build()
+        sys_.set_bandwidth(snapshot)
+        sys_.fail_node(1)
+        sys_.fail_node(4)
+        out = sys_.repair_node(4)["s1"]
+        assert out.status == ESCALATED and out.verified
+        assert np.array_equal(out.rebuilt, data[4])
+        for f in (1, 4):
+            assert np.array_equal(sys_.read_chunk("s1", f), data[f])

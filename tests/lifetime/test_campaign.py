@@ -193,6 +193,25 @@ class TestRepairSpeedKnob:
         slow = run_campaign(with_pipeline_factor(base, 20.0))
         assert slow.exposure_digest.quantile(0.9) >= fast.exposure_digest.quantile(0.9)
 
+    def test_faster_repair_never_loses_more(self):
+        """Paired seed, repair slowed from pipelined (factor 1) to ~k x
+        serial (20): the fleet faces the same failure history, so data
+        loss can only grow with the rebuild window."""
+        base = small_config(
+            seed=9,
+            years=2.0,
+            disk_process=ExponentialProcess.from_years(0.1, mttr_hours=12.0),
+            repair_model=RepairModel(chunk_mib=256.0, node_mbps=100.0),
+        )
+        runs = [
+            run_campaign(with_pipeline_factor(base, factor))
+            for factor in (1.0, 5.0, 20.0)
+        ]
+        lost = [r.stripes_lost for r in runs]
+        losses = [len(r.loss_events) for r in runs]
+        assert lost == sorted(lost) and losses == sorted(losses)
+        assert lost[-1] > lost[0]  # the sweep is not vacuous
+
 
 class TestValidation:
     def test_bad_code_rejected(self):

@@ -155,3 +155,25 @@ class TestScenarioCoexistence:
         summary = sc.foreground.summary()
         assert summary["ok"] == summary["recorded"] == 150
         assert summary["bytes"] == 150 * 65536
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_degraded_reads_survive_staggered_second_kill(self, seed):
+        """A second kill while reads are being rebuilt must not fail
+        them: a degraded read never escalates, it keeps decoding its own
+        chunk from the survivors."""
+        sc = run_recovery_scenario(
+            num_nodes=12, n=6, k=4, num_stripes=12,
+            chunk_bytes=64 * 1024, slice_bytes=4 * 1024,
+            kills=((0, 0.001), (3, 0.004)),
+            foreground_reads=50, seed=seed,
+        )
+        reads = sc.foreground.reads
+        assert len(reads) == 50
+        for read in reads:
+            assert "second chunk lost mid-repair" not in (
+                read.failure_reason or ""
+            )
+            if read.ok:
+                expected = sc.payloads[read.stripe_id][read.chunk_index]
+                assert np.array_equal(read.payload, expected)
+

@@ -104,11 +104,14 @@ class TestSchema:
             assert live < before["tick_mean_us"] * 0.6
 
     def test_artefacts_written(self, smoke_report):
-        report, _ = smoke_report
+        report, out = smoke_report
         prof = report["profiled"]
         for rel in prof["artefacts"]:
             path = REPO_ROOT / rel
             assert path.exists(), rel
+            # smoke artefacts sit beside the report, never over the
+            # committed full-run ones
+            assert path.resolve().parent == out.resolve().parent, rel
         speedscope = json.loads(
             (REPO_ROOT / prof["artefacts"][0]).read_text()
         )
