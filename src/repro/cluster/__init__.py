@@ -1,7 +1,7 @@
 """Cluster prototype: master/data-node architecture with real repair."""
 
 from .chunkstore import ChunkStore
-from .datanode import DataNode
+from .datanode import DataNode, DataPlane, SliceStream
 from .files import FileEntry, FileStore
 from .master import (
     DeadNodeError,
@@ -21,7 +21,6 @@ from .messages import (
     BandwidthReport,
     RepairComplete,
     RepairRequest,
-    SliceData,
     TransferTask,
 )
 from .system import ClusterSystem, RepairOutcome
@@ -44,7 +43,8 @@ __all__ = [
     "BandwidthReport",
     "RepairComplete",
     "RepairRequest",
-    "SliceData",
+    "SliceStream",
+    "DataPlane",
     "TransferTask",
     "ClusterSystem",
     "RepairOutcome",

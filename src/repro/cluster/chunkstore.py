@@ -30,6 +30,12 @@ class ChunkStore:
         self._digests: dict[tuple[str, int], int] = {}
         #: armed torn write: (tail_fraction, rng) applied to the next put
         self._torn: tuple[float, np.random.Generator] | None = None
+        #: :meth:`verify` results, valid until the key's next mutation
+        #: (every mutation goes through ``put`` / ``corrupt`` / ``delete``)
+        self._verified: dict[tuple[str, int], bool] = {}
+        #: called with ``(stripe_id, chunk_index)`` after every mutation
+        #: (the owning node re-reads slices it has not streamed yet)
+        self.on_mutate = None
 
     def put(self, stripe_id: str, chunk_index: int, payload: np.ndarray) -> None:
         """Store a chunk (copies the payload) and record its digest.
@@ -51,6 +57,7 @@ class ChunkStore:
             np.bitwise_xor(arr[-tail:], garble, out=arr[-tail:])
         self._chunks[(stripe_id, chunk_index)] = arr
         self._digests[(stripe_id, chunk_index)] = digest
+        self._mutated((stripe_id, chunk_index))
 
     def get(self, stripe_id: str, chunk_index: int) -> np.ndarray:
         """Fetch a chunk copy; raises ``KeyError`` if absent."""
@@ -74,6 +81,7 @@ class ChunkStore:
         """Drop a chunk; raises ``KeyError`` if absent."""
         del self._chunks[(stripe_id, chunk_index)]
         self._digests.pop((stripe_id, chunk_index), None)
+        self._mutated((stripe_id, chunk_index))
 
     def chunk_keys(self) -> list[tuple[str, int]]:
         """Every ``(stripe_id, chunk_index)`` stored, sorted."""
@@ -97,9 +105,23 @@ class ChunkStore:
         return self._digests[(stripe_id, chunk_index)]
 
     def verify(self, stripe_id: str, chunk_index: int) -> bool:
-        """Re-digest the stored bytes and compare with the record."""
+        """Re-digest the stored bytes and compare with the record.
+
+        The verdict is cached until the chunk's next mutation, so a
+        helper streaming one chunk into several pipelines digests it once.
+        """
         key = (stripe_id, chunk_index)
-        return chunk_digest(self._chunks[key]) == self._digests[key]
+        ok = self._verified.get(key)
+        if ok is None:
+            ok = self._verified[key] = (
+                chunk_digest(self._chunks[key]) == self._digests[key]
+            )
+        return ok
+
+    def _mutated(self, key: tuple[str, int]) -> None:
+        self._verified.pop(key, None)
+        if self.on_mutate is not None:
+            self.on_mutate(*key)
 
     # ---- fault hooks (silent-corruption injection) --------------------- #
 
@@ -132,6 +154,7 @@ class ChunkStore:
         chunk[positions] ^= masks
         if fix_digest:
             self._digests[key] = chunk_digest(chunk)
+        self._mutated(key)
         return count
 
     def arm_torn_write(self, tail_fraction: float = 0.25, seed: int = 0) -> None:

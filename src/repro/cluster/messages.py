@@ -10,9 +10,7 @@ deterministic event queue with a configurable control-plane latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -59,23 +57,6 @@ class TransferTask:
     #: task of a repair shares this count so slices line up across nodes
     #: (None = derive from the node's default byte slice size)
     num_slices: int | None = None
-
-
-@dataclass(frozen=True)
-class SliceData:
-    """Data node -> data node/requester: a partial-combination payload."""
-
-    stripe_id: str
-    pipeline_id: int
-    source: int
-    start: int
-    stop: int
-    payload: np.ndarray = field(repr=False)
-    repair_id: str = ""
-    #: CRC of the payload as the sender computed it (None = unchecked
-    #: legacy sender); the receiving hop re-checksums and requests a
-    #: retransmit on mismatch instead of folding a poisoned slice
-    checksum: int | None = None
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ import numpy as np
 from ..core.fullnode import StripeRepairSpec, plan_full_node_repair
 from ..ec.rs import RSCode
 from ..faults import COMPLETED, DEGRADED, ESCALATED, FAILED
-from ..integrity.digest import slice_checksum
 from ..integrity.verify import audit_stripe
 from ..net import units
 from ..net.bandwidth import BandwidthSnapshot, RepairContext
@@ -54,9 +53,9 @@ from ..repair.base import RepairAlgorithm, get_algorithm
 from ..repair.plan import RepairPlan
 from ..repair.recovery import uncovered_intervals
 from ..sim.events import EventQueue
-from .datanode import DataNode
+from .datanode import DataNode, DataPlane, SliceStream
 from .master import DeadNodeError, Master, StripeLocation
-from .messages import BandwidthReport, SliceData, TransferTask
+from .messages import BandwidthReport, TransferTask
 
 log = logging.getLogger("repro.cluster.system")
 
@@ -105,6 +104,24 @@ class RepairOutcome:
     quarantined_chunks: tuple = ()
 
 
+class _Pipe:
+    """Requester-side reassembly of one pipeline of an attempt."""
+
+    __slots__ = ("streams", "event", "due", "got", "folded")
+
+    def __init__(self) -> None:
+        #: the last-hop streams by sender node
+        self.streams: dict[int, SliceStream] = {}
+        #: the completion event, at the pipeline's last intact landing
+        self.event = None
+        self.due: float | None = None
+        #: per slice: senders already folded into the buffer (None until
+        #: the first partial fold)
+        self.got: list[int] | None = None
+        #: per sender: which slices are folded
+        self.folded: dict[int, list[bool]] = {}
+
+
 @dataclass
 class _ChunkRepair:
     """Requester-side reassembly of one lost chunk, across attempts."""
@@ -127,8 +144,10 @@ class _ChunkRepair:
     expected: dict[int, set] = field(default_factory=dict)
     #: pipeline key -> bytes of its range not yet decode-complete
     outstanding: dict[int, int] = field(default_factory=dict)
-    #: pipeline key -> {(lo, hi): sources arrived} per slice range
-    slice_arrivals: dict[int, dict] = field(default_factory=dict)
+    #: pipeline key -> its reassembly state
+    pipes: dict[int, _Pipe] = field(default_factory=dict)
+    #: (node, pipeline key) of every hub task of the attempt
+    hubs: set = field(default_factory=set)
     #: byte ranges with every contribution folded in (decode-correct),
     #: accumulated across attempts — the complement is the remainder
     completed: list = field(default_factory=list)
@@ -145,7 +164,8 @@ class _ChunkRepair:
     def clear_attempt(self) -> None:
         self.expected = {}
         self.outstanding = {}
-        self.slice_arrivals = {}
+        self.pipes = {}
+        self.hubs = set()
 
     def restart(self) -> int:
         """Drop every decoded byte; returns how many are lost."""
@@ -313,6 +333,14 @@ class ClusterSystem:
         self.compute_s_per_byte = compute_s_per_byte
         self.slice_bytes = slice_bytes
         self.slice_overhead_s = slice_overhead_s
+        #: the solved slice schedules of every node (segment executor)
+        self.plane = DataPlane(self.events)
+        self.plane.landing = self._landing
+        self.plane.may_retransmit = self._may_retransmit
+        self.plane.on_bad_copy = self._on_bad_copy
+        self.plane.on_resolved = self._reschedule_pipes
+        if self.tracer.enabled or self.metrics.enabled:
+            self.plane.on_sends = self._note_sends
         self.nodes = [
             DataNode(
                 i,
@@ -327,11 +355,9 @@ class ClusterSystem:
         #: checksums and read-path digest checks are always on)
         self.integrity_verify = integrity_verify
         for node in self.nodes:
-            node.deliver = self._deliver
-            node.on_bad_slice = self._on_bad_slice
+            node.plane = self.plane
+            node.deliver = self._deliver_stream
             node.on_bad_chunk = self._on_bad_chunk
-            if self.tracer.enabled or self.metrics.enabled:
-                node.on_transfer = self._note_transfer
         #: (wire id, pipeline id) -> open pipeline span (tracer enabled only)
         self._pipeline_spans: dict[tuple[str, int], object] = {}
         self._alive = [True] * num_nodes
@@ -380,6 +406,7 @@ class ClusterSystem:
     @property
     def traffic_bytes(self) -> int:
         """Total payload bytes every node has put on the wire so far."""
+        self.plane.sync()
         return sum(node.bytes_sent for node in self.nodes)
 
     def write_stripe(
@@ -423,6 +450,8 @@ class ClusterSystem:
         """
         self._alive[node] = False
         log.debug("node %d crashed at t=%.6f", node, self.events.now)
+        # copies from or to the dead node that have not landed vanish
+        self.plane.resolve()
         if self.tracer.enabled:
             self.tracer.event(self._live_span(), "node.crash", node=node)
         for job in list(self._jobs.values()):
@@ -458,6 +487,7 @@ class ClusterSystem:
     def set_rate_cap(self, node: int, rate_cap_mbps: float | None) -> None:
         """Straggler: cap every rate ``node`` sends at (``None`` clears)."""
         self.nodes[node].rate_cap_mbps = rate_cap_mbps
+        self.plane.resolve()
 
     def stall_node(self, node: int, duration_s: float) -> None:
         """Freeze a node's data plane: no slice starts transmitting and
@@ -465,6 +495,7 @@ class ClusterSystem:
         until = self.events.now + duration_s
         node_ = self.nodes[node]
         node_.stalled_until = max(node_.stalled_until, until)
+        self.plane.resolve()
 
     def suppress_reports(self, node: int, duration_s: float) -> None:
         """Drop the node's heartbeat reports for a while (lost reports)."""
@@ -534,6 +565,7 @@ class ClusterSystem:
         )
         if n._wire_rng is None:
             n._wire_rng = np.random.default_rng(seed)
+        self.plane.resolve()
 
     def enable_heartbeats(
         self, period_s: float = 0.05, *, lease_missed: int = 3
@@ -646,45 +678,45 @@ class ClusterSystem:
             f"on node {node}",
         )
 
-    def _on_bad_slice(self, dest: int, data: SliceData) -> None:
-        """An in-flight slice failed its checksum at the receiving hop."""
-        rid = data.repair_id or data.stripe_id
+    def _on_bad_copy(self, stream: SliceStream, send) -> None:
+        """A garbled copy failed its checksum at the receiving hop (at
+        ``send.land``); its retransmit, if any, is already scheduled."""
+        rid, pid = stream.key
+        at = send.land
+        lo, hi = stream.bounds(send.idx)
         if self.metrics.enabled:
             self.metrics.counter(
                 "repro_integrity_corruption_detected_total",
                 "Silent-corruption detections, by detection path.",
                 kind="wire",
             ).inc()
-        span = self._pipeline_spans.get((rid, data.pipeline_id))
+        span = self._pipeline_spans.get((rid, pid))
         if self.tracer.enabled:
             self.tracer.event(
-                span, "integrity.wire_corruption",
-                src=data.source, dst=dest, lo=data.start, hi=data.stop,
+                span, "integrity.wire_corruption", t=at,
+                src=stream.source, dst=stream.destination, lo=lo, hi=hi,
             )
         log.debug(
             "wire corruption caught: %d->%d [%d, %d) of %s",
-            data.source, dest, data.start, data.stop, rid,
+            stream.source, stream.destination, lo, hi, rid,
         )
         routed = self._wire_job.get(rid)
         if routed is not None:
             routed[0].corruption_detected = True
-        if rid in self._retired or not self._alive[data.source]:
-            return  # stale epoch / dead sender: the watchdog path owns it
-        if self.nodes[data.source].retransmit(
-            (rid, data.pipeline_id), data.start, data.stop
-        ):
-            if self.metrics.enabled:
-                self.metrics.counter(
-                    "repro_integrity_retransmits_total",
-                    "Slices re-sent after a checksum failure downstream.",
-                ).inc()
-            if self.tracer.enabled:
-                self.tracer.event(
-                    span, "integrity.retransmit",
-                    src=data.source, lo=data.start, hi=data.stop,
-                )
-        # a refused retransmit leaves the range incomplete; the progress
-        # watchdog aborts and re-plans the remainder
+        if not send.issued:
+            # a refused retransmit leaves the range incomplete; the
+            # progress watchdog aborts and re-plans the remainder
+            return
+        if self.metrics.enabled:
+            self.metrics.counter(
+                "repro_integrity_retransmits_total",
+                "Slices re-sent after a checksum failure downstream.",
+            ).inc()
+        if self.tracer.enabled:
+            self.tracer.event(
+                span, "integrity.retransmit", t=at,
+                src=stream.source, lo=lo, hi=hi,
+            )
 
     def _integrity_audit(self, stripe_id: str, lost_chunk: int, rebuilt):
         """Digest-scan the stripe's stored chunks, then parity-audit.
@@ -1208,6 +1240,8 @@ class ClusterSystem:
             f: self._new_chunk(stripe_id, loc, f, r, tag)
             for f, r in requester_for.items()
         }
+        if self.metrics.enabled:
+            self.plane.sync()  # busy_before reads the node counters
         job = RepairJob(
             stripe_id=stripe_id,
             repair_id=next(iter(chunks.values())).repair_id,
@@ -1427,10 +1461,12 @@ class ClusterSystem:
             )
             chunk.clear_attempt()
             for task in tasks:
+                src = loc.node_of(task.chunk_index)
                 if task.destination == chunk.requester:
-                    src = loc.node_of(task.chunk_index)
                     chunk.expected.setdefault(task.pipeline_id, set()).add(src)
                     chunk.outstanding[task.pipeline_id] = task.stop - task.start
+                if task.wait_for:
+                    chunk.hubs.add((src, task.pipeline_id))
             if tracer.enabled:
                 rate_by_pid = _pipeline_rates(tasks)
                 for pid, nbytes in chunk.outstanding.items():
@@ -1509,6 +1545,7 @@ class ClusterSystem:
         if job.detect_timer is not None:
             self.events.cancel(job.detect_timer)
         job.detect_period_s = job.armed_timeout / self.DETECT_TICKS_PER_TIMEOUT
+        self.plane.sync()
         job.detect_mark = job.received
         job.detect_mark_t = self.events.now
         job.detect_busy = {
@@ -1552,6 +1589,7 @@ class ClusterSystem:
         if dt <= 0:
             self._schedule_tick(job, wire)
             return
+        self._sync_job(job)
         plan_rate = float(
             sum(c.plan.total_rate for c in job.chunks.values()
                 if c.plan is not None and not c.complete)
@@ -1606,6 +1644,7 @@ class ClusterSystem:
         job.timer = None
         if job.settled or job.complete:
             return
+        self._sync_job(job)
         if job.received > job.timer_mark:
             self._arm_timer(job)  # progress since the last check: keep watching
             return
@@ -1651,6 +1690,7 @@ class ClusterSystem:
         """
         if retry:
             job.retries += 1
+        self._sync_job(job)
         self._cancel_timer(job)
         self._disarm_detector(job)
         self._retire_attempt(job)
@@ -1662,11 +1702,15 @@ class ClusterSystem:
         # useless without the missing contributions, and a stale late
         # slice must never fold into the next attempt's bytes
         for chunk in job.chunks.values():
-            for pid, ranges in chunk.slice_arrivals.items():
-                want = chunk.expected.get(pid, set())
-                for (lo, hi), got in ranges.items():
+            for pid, pipe in chunk.pipes.items():
+                if pipe.got is None:
+                    continue
+                want = len(chunk.expected.get(pid, ()))
+                geometry = next(iter(pipe.streams.values()))
+                for i, got in enumerate(pipe.got):
                     if got and got != want:
-                        job.bytes_retransferred += (hi - lo) * len(got)
+                        lo, hi = geometry.bounds(i)
+                        job.bytes_retransferred += (hi - lo) * got
                         chunk.buffer[lo:hi] = 0
             chunk.clear_attempt()
         if not retry:
@@ -1688,6 +1732,10 @@ class ClusterSystem:
             wire = chunk.wire_id or chunk.repair_id
             self._retired.add(wire)
             self._wire_job.pop(wire, None)
+            for pipe in chunk.pipes.values():
+                if pipe.event is not None:
+                    self.events.cancel(pipe.event)
+                    pipe.event = None
             if abort:
                 for node in self.nodes:
                     node.cancel_repair(wire)
@@ -1713,6 +1761,7 @@ class ClusterSystem:
         still streaming for it."""
         if job.settled:
             return
+        self._sync_job(job)
         # verify the rebuilt bytes before declaring success; a poisoned
         # chunk quarantines its culprit and re-repairs
         if job.complete and not job.failed and not self._verify_completed(job):
@@ -1852,46 +1901,37 @@ class ClusterSystem:
 
     # ---- observability -------------------------------------------------- #
 
-    def _note_transfer(
-        self,
-        src: int,
-        dest: int,
-        lo: int,
-        hi: int,
-        start_s: float,
-        end_s: float,
-        wire_id: str,
-        pipeline_id: int,
-    ) -> None:
-        """DataNode send hook (installed only when obs is live).
+    def _note_sends(self, sends: list) -> None:
+        """Obs accounting of decided sends (installed only when obs is
+        live), in the order they were sent.
 
-        Credits the sender's byte counter, charges the receiver's
+        Credits each sender's byte counter, charges the receiver's
         downlink occupancy, and records one uplink + one downlink
-        ``transfer`` span per slice (the Chrome exporter lays them out
-        on per-node lanes).
+        ``transfer`` span per slice copy — one batched tracer call per
+        task-hop (the Chrome exporter lays them out on per-node lanes).
         """
-        if self.metrics.enabled:
-            self.metrics.counter(
-                "repro_node_bytes_sent_total",
-                "Payload bytes each node has put on the wire.",
-                node=str(src),
-            ).inc(hi - lo)
-        if 0 <= dest < len(self.nodes):
-            self.nodes[dest].downlink_busy_s += end_s - start_s
-        if self.tracer.enabled:
-            parent = self._pipeline_spans.get((wire_id, pipeline_id))
-            common = dict(
-                src=src, dst=dest, lo=lo, hi=hi,
-                wire=wire_id, pipeline=pipeline_id,
-            )
-            self.tracer.record_span(
-                f"{src}→{dest}", start_s, end_s, kind="transfer",
-                parent=parent, node=src, direction="uplink", **common,
-            )
-            self.tracer.record_span(
-                f"{src}→{dest}", start_s, end_s, kind="transfer",
-                parent=parent, node=dest, direction="downlink", **common,
-            )
+        by_stream: dict[SliceStream, list] = {}
+        num_nodes = len(self.nodes)
+        for stream, send in sends:
+            dest = stream.destination
+            if 0 <= dest < num_nodes:
+                self.nodes[dest].downlink_busy_s += send.arrive - send.start
+            by_stream.setdefault(stream, []).append(send)
+        for stream, batch in by_stream.items():
+            if self.metrics.enabled:
+                self.metrics.counter(
+                    "repro_node_bytes_sent_total",
+                    "Payload bytes each node has put on the wire.",
+                    node=str(stream.source),
+                ).inc(sum(s.hi - s.lo for s in batch))
+            if self.tracer.enabled:
+                wire, pid = stream.key
+                src, dst = stream.source, stream.destination
+                self.tracer.record_transfers(
+                    self._pipeline_spans.get(stream.key),
+                    [(src, dst, s.lo, s.hi, s.start, s.arrive, wire, pid)
+                     for s in batch],
+                )
 
     def trace_fault(self, fault) -> None:
         """Observability hook called by :class:`~repro.faults.FaultInjector`
@@ -2038,80 +2078,164 @@ class ClusterSystem:
         if self._alive[node] and (task.repair_id or task.stripe_id) not in self._retired:
             self.nodes[node].assign(task)
 
-    def _deliver(self, destination: int, data: SliceData) -> None:
-        """Route a slice either to a data node or into requester assembly."""
-        if not self._alive[data.source] or not self._alive[destination]:
-            return  # packets from/to dead nodes vanish
+    def _landing(self, stream: SliceStream, at: float) -> float | None:
+        """When a copy checked at ``at`` lands at the stream's
+        destination: copies from or to dead nodes vanish, a stalled
+        receiver takes them when its stall elapses."""
+        dest = stream.destination
+        if not self._alive[stream.source] or not self._alive[dest]:
+            return None
+        until = self.nodes[dest].stalled_until
+        return until if until > at else at
+
+    def _may_retransmit(self, stream: SliceStream) -> bool:
+        """A garbled copy is resent by a live sender of a live epoch."""
+        return (
+            stream.cancelled_at is None
+            and self._alive[stream.source]
+            and stream.key[0] not in self._retired
+        )
+
+    def _deliver_stream(self, destination: int, stream: SliceStream) -> None:
+        """Route a solved stream to a hub task or into requester assembly."""
+        rid, pid = stream.key
         node = self.nodes[destination]
-        now = self.events.now
-        if node.stalled_until > now:
-            # receiver frozen: the delivery lands when the stall elapses
-            self.events.schedule_at(
-                node.stalled_until,
-                lambda d=destination, m=data: self._deliver(d, m),
-            )
-            return
-        rid = data.repair_id or data.stripe_id
-        key = (rid, data.pipeline_id)
-        if key in node._tasks:
-            node.receive(data)
+        if stream.key in node._tasks:
+            node.receive(stream)
             return
         routed = self._wire_job.get(rid)
         if routed is None:
             if rid in self._retired:
-                return  # stale slice from an aborted attempt's epoch
+                return  # a stale epoch: nothing it sends is folded
             raise RuntimeError(
-                f"slice for {data.stripe_id} delivered to unexpected node "
+                f"stream for {stream.task.stripe_id} delivered to unexpected node "
                 f"{destination}"
             )
         job, chunk = routed
         if chunk.requester != destination:
+            if (destination, pid) in chunk.hubs:
+                node.park(stream)  # the hub's own task is not assigned yet
+                return
             raise RuntimeError(
-                f"slice for {data.stripe_id} delivered to unexpected node "
+                f"stream for {stream.task.stripe_id} delivered to unexpected node "
                 f"{destination}"
             )
-        sources = chunk.expected.get(data.pipeline_id)
-        if sources is None or data.source not in sources:
+        sources = chunk.expected.get(pid)
+        if sources is None or stream.source not in sources:
             raise RuntimeError(
-                f"unexpected slice from {data.source} for pipeline "
-                f"{data.pipeline_id}"
+                f"unexpected stream from {stream.source} for pipeline {pid}"
             )
-        if (
-            data.checksum is not None
-            and slice_checksum(data.payload) != data.checksum
-        ):
-            # last-hop corruption caught at the requester: request a
-            # retransmit instead of folding a poisoned slice
-            self._on_bad_slice(destination, data)
+        pipe = chunk.pipes.setdefault(pid, _Pipe())
+        if stream.source in pipe.streams:
+            raise RuntimeError(
+                f"duplicate stream from {stream.source} for pipeline {pid}"
+            )
+        pipe.streams[stream.source] = stream
+        if len(pipe.streams) == len(sources):
+            self._schedule_pipe(job, chunk, pid, pipe)
+
+    def _schedule_pipe(self, job, chunk, pid: int, pipe: _Pipe) -> None:
+        """(Re)place a pipeline's completion event at its last landing."""
+        due = -1.0
+        for stream in pipe.streams.values():
+            if stream.lands_by is None:
+                due = None
+                break
+            due = max(due, stream.lands_by)
+        if pipe.event is not None:
+            if due == pipe.due and self.events.is_pending(pipe.event):
+                return
+            self.events.cancel(pipe.event)
+            pipe.event = None
+        pipe.due = due
+        if due is not None:
+            pipe.event = self.events.schedule_at(
+                due, lambda: self._pipe_done(job, chunk, pid, pipe)
+            )
+
+    def _reschedule_pipes(self) -> None:
+        """After a split: move every live pipeline's completion event."""
+        for job, chunk in list(self._wire_job.values()):
+            for pid, pipe in list(chunk.pipes.items()):
+                if len(pipe.streams) == len(chunk.expected.get(pid, ())):
+                    self._schedule_pipe(job, chunk, pid, pipe)
+
+    def _pipe_done(self, job, chunk, pid: int, pipe: _Pipe) -> None:
+        """Every slice of a pipeline has landed intact at the requester:
+        fold the segment, release the pipeline's streams, settle it."""
+        pipe.event = None
+        if chunk.pipes.get(pid) is not pipe:
             return
-        arrivals = chunk.slice_arrivals.setdefault(data.pipeline_id, {})
-        got = arrivals.setdefault((data.start, data.stop), set())
-        if data.source in got:
-            raise RuntimeError(
-                f"duplicate slice [{data.start}, {data.stop}) from "
-                f"{data.source} for pipeline {data.pipeline_id}"
-            )
-        got.add(data.source)
-        span = chunk.buffer[data.start : data.stop]
-        np.bitwise_xor(span, data.payload, out=span)
-        chunk.received += len(data.payload)
-        job.received += len(data.payload)
-        # the requester pays the final combine cost for this slice
-        chunk.last_arrival = max(
-            chunk.last_arrival,
-            now + self.compute_s_per_byte * len(data.payload),
-        )
-        if got == sources:
-            # every contribution folded in: this byte range is decoded
-            chunk.completed.append((data.start, data.stop))
-            chunk.done_bytes += data.stop - data.start
-            chunk.outstanding[data.pipeline_id] -= data.stop - data.start
-            if (
-                self.tracer.enabled
-                and chunk.outstanding[data.pipeline_id] <= 0
-            ):
-                span = self._pipeline_spans.pop((rid, data.pipeline_id), None)
-                if span:
-                    self.tracer.end_span(span)
+        self.plane.sync()
+        self._fold(job, chunk, pid, pipe, final=True)
+        del chunk.pipes[pid]
+        stack = list(pipe.streams.values())
+        while stack:
+            stream = stack.pop()
+            stack.extend(stream.inputs.values())
+            self.plane.drop(stream)
+        if self.tracer.enabled and chunk.outstanding[pid] <= 0:
+            span = self._pipeline_spans.pop((chunk.wire_id, pid), None)
+            if span:
+                self.tracer.end_span(span)
         if chunk.complete and job.complete:
             self._finish_job(job, retire=False)
+
+    def _sync_job(self, job: RepairJob) -> None:
+        """Bring the node counters and ``job``'s requester assembly up to
+        now: fold every slice that has landed by now."""
+        self.plane.sync()
+        for chunk in job.chunks.values():
+            for pid, pipe in chunk.pipes.items():
+                if len(pipe.streams) == len(chunk.expected.get(pid, ())):
+                    self._fold(job, chunk, pid, pipe, final=False)
+
+    def _fold(self, job, chunk, pid: int, pipe: _Pipe, *, final: bool) -> None:
+        """XOR landed slices into the chunk's assembly buffer.
+
+        ``final`` folds everything (the pipeline's last slice has landed);
+        otherwise only slices that landed strictly before now.  A slice
+        whose every sender is folded is decode-complete.
+        """
+        cpb = self.compute_s_per_byte
+        buffer = chunk.buffer
+        want = len(chunk.expected[pid])
+        if final and pipe.got is None:
+            # the common case: one XOR per sender over the whole segment
+            for stream in pipe.streams.values():
+                lo, hi = stream.task.start, stream.task.stop
+                span = buffer[lo:hi]
+                np.bitwise_xor(span, stream.payload, out=span)
+                chunk.received += hi - lo
+                job.received += hi - lo
+                last = max(
+                    c + cpb * (b - a)
+                    for c, (a, b) in zip(stream.clean, map(stream.bounds, range(stream.num_slices)))
+                )
+                chunk.last_arrival = max(chunk.last_arrival, last)
+            chunk.completed.append((lo, hi))
+            chunk.done_bytes += hi - lo
+            chunk.outstanding[pid] -= hi - lo
+            return
+        now = self.events.now
+        geometry = next(iter(pipe.streams.values()))
+        if pipe.got is None:
+            pipe.got = [0] * geometry.num_slices
+        got = pipe.got
+        for src, stream in pipe.streams.items():
+            folded = pipe.folded.setdefault(src, [False] * stream.num_slices)
+            for i, c in enumerate(stream.clean):
+                if folded[i] or c is None or (not final and c >= now):
+                    continue
+                folded[i] = True
+                lo, hi = stream.bounds(i)
+                span = buffer[lo:hi]
+                np.bitwise_xor(span, stream.slice_payload(i), out=span)
+                chunk.received += hi - lo
+                job.received += hi - lo
+                chunk.last_arrival = max(chunk.last_arrival, c + cpb * (hi - lo))
+                got[i] += 1
+                if got[i] == want:
+                    chunk.completed.append((lo, hi))
+                    chunk.done_bytes += hi - lo
+                    chunk.outstanding[pid] -= hi - lo

@@ -16,7 +16,7 @@ Two helpers, two granularities:
   ``put`` and re-checks on scrub/verify.
 * :func:`slice_checksum` — the *in-flight* checksum a
   :class:`~repro.cluster.datanode.DataNode` stamps on every
-  :class:`~repro.cluster.messages.SliceData` it sends, verified at the
+  slice of a :class:`~repro.cluster.datanode.SliceStream` it sends, verified at the
   receiving hop so wire corruption is caught one hop from its source
   and retransmitted instead of poisoning downstream partial sums.
 """
@@ -30,6 +30,8 @@ import numpy as np
 #: Digest block granularity — matches the EC data plane's segmentation
 #: (2 MiB segments; see ``repro.ec.kernels.SEGMENT_PAIRS``).
 DIGEST_BLOCK_BYTES = 2 * 1024 * 1024
+
+_UINT8 = np.dtype(np.uint8)
 
 
 def chunk_digest(payload: np.ndarray | bytes | bytearray | memoryview) -> int:
@@ -58,4 +60,12 @@ def slice_checksum(payload: np.ndarray | bytes | bytearray | memoryview) -> int:
     call — but it shares :func:`chunk_digest`'s definition exactly, so
     a whole-chunk slice checksums to the chunk digest.
     """
+    if (
+        type(payload) is np.ndarray
+        and payload.dtype is _UINT8
+        and payload.size <= DIGEST_BLOCK_BYTES
+        and payload.flags.c_contiguous
+    ):
+        # one block: the chained CRC is the plain CRC of the buffer
+        return zlib.crc32(payload) & 0xFFFFFFFF
     return chunk_digest(payload)

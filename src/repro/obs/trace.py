@@ -194,6 +194,30 @@ class Tracer:
         span.end = max(end, start)
         return span
 
+    def record_transfers(self, parent: Span | None, rows) -> None:
+        """Batch of slice transfers: one uplink and one downlink
+        ``transfer`` span per row ``(src, dst, lo, hi, start, end, wire,
+        pipeline)``, in a single call per task-hop."""
+        ids = self._ids
+        parent_id = parent.span_id if parent else None
+        append = (parent.children if parent else self.roots).append
+        for src, dst, lo, hi, start, end, wire, pipeline in rows:
+            name = f"{src}→{dst}"
+            if end < start:
+                end = start
+            up = Span(next(ids), name, "transfer", start, parent_id, {
+                "node": src, "direction": "uplink", "src": src, "dst": dst,
+                "lo": lo, "hi": hi, "wire": wire, "pipeline": pipeline,
+            })
+            up.end = end
+            append(up)
+            down = Span(next(ids), name, "transfer", start, parent_id, {
+                "node": dst, "direction": "downlink", "src": src, "dst": dst,
+                "lo": lo, "hi": hi, "wire": wire, "pipeline": pipeline,
+            })
+            down.end = end
+            append(down)
+
     def event(
         self,
         span: Span | None,
@@ -265,6 +289,9 @@ class NullTracer(Tracer):
 
     def record_span(self, name, start, end, **kwargs) -> Span:  # type: ignore[override]
         return NULL_SPAN  # type: ignore[return-value]
+
+    def record_transfers(self, parent, rows) -> None:
+        return None
 
     def event(self, span, name, t=None, **attrs) -> SpanEvent:
         return _NULL_EVENT
